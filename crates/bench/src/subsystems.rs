@@ -191,29 +191,6 @@ pub fn run(filter: &str) -> Vec<BenchResult> {
             };
             black_box(mem.access(line, now, kind));
         }));
-
-        // The same mixed stream, one cycle's 16 coalesced lines per op,
-        // resolved through the grouped per-bank/per-channel batch pass.
-        let mut mem = MemSystem::new(MemSystemConfig::default());
-        let mut rng = SimRng::new(7);
-        let mut now = Cycle::ZERO;
-        let mut lines: Vec<LineAddr> = Vec::new();
-        let mut accesses = Vec::new();
-        out.push(bench("mem_system/access_batch_16", || {
-            now += 2;
-            let kind = if rng.chance(0.2) {
-                AccessKind::PageTable
-            } else {
-                AccessKind::Data
-            };
-            lines.clear();
-            for _ in 0..16 {
-                lines.push(LineAddr(rng.next_below(1 << 16)));
-            }
-            accesses.clear();
-            mem.access_batch(&lines, now, kind, &mut accesses);
-            black_box(accesses.len());
-        }));
     }
 
     out

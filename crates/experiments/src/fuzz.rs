@@ -2,11 +2,10 @@
 //! delta-debugging shrinker, and self-contained JSON repro files.
 //!
 //! Every correctness guarantee in the repo — BitmapScheduler vs
-//! ReferenceScheduler lockstep, batched vs scalar entry points, the
-//! N-tenant invariant properties, trace-replay self-checks, fault-injection
-//! equivalence — historically ran only on the 13 calibrated apps and the
-//! curated sweep points. This module turns those oracles loose on the whole
-//! configuration space:
+//! ReferenceScheduler lockstep, the N-tenant invariant properties,
+//! trace-replay self-checks, fault-injection equivalence — historically
+//! ran only on the 13 calibrated apps and the curated sweep points. This
+//! module turns those oracles loose on the whole configuration space:
 //!
 //! 1. [`FuzzGen`] draws random [`FuzzScenario`]s from a seed: synthetic
 //!    tenants (arbitrary footprints and access patterns, via
@@ -16,12 +15,10 @@
 //!    [`PolicyPreset`], mid-run repartition schedules, and fault-injection
 //!    schedules reusing the `--inject-faults` machinery.
 //! 2. [`run_oracles`] runs one scenario through the stacked oracle:
-//!    * **lockstep** — optimized (batched) vs reference (scalar) walk
-//!      scheduler on identical traffic, per-step invariant checks through
-//!      the shared [`walksteal_vm::invariants`] module, inspection-view
-//!      agreement, repartition events applied to both sides, and a
-//!      batched-vs-scalar memory-system twin on the scenario's randomized
-//!      L2-bank/DRAM-channel shape;
+//!    * **lockstep** — optimized vs reference walk scheduler on identical
+//!      traffic, per-step invariant checks through the shared
+//!      [`walksteal_vm::invariants`] module, inspection-view agreement, and
+//!      repartition events applied to both sides;
 //!    * **simulate** — the full end-to-end simulation under an event
 //!      budget;
 //!    * **trace** — the same simulation traced, the trace replayed from
@@ -50,11 +47,11 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use walksteal_mem::{Access, AccessKind, MemSystem, MemSystemConfig};
+use walksteal_mem::{MemSystem, MemSystemConfig};
 use walksteal_multitenant::{
     GpuConfig, JsonlTracer, PolicyPreset, RunBudget, SimError, SimulationBuilder, TenantSpec,
 };
-use walksteal_sim_core::{Cycle, Json, LineAddr, Observer, SimRng, TenantId, Vpn};
+use walksteal_sim_core::{Cycle, Json, Observer, SimRng, TenantId, Vpn};
 use walksteal_vm::walk::WalkContext;
 use walksteal_vm::{
     invariants, DispatchedWalk, FrameAlloc, PageSize, PageTable, SchedulerImpl, WalkQueueFull,
@@ -183,10 +180,9 @@ pub struct FuzzScenario {
     pub queue_entries: usize,
     /// Shared L2 TLB entries (multiple of 16, power-of-two sets).
     pub l2_tlb_entries: usize,
-    /// Shared L2 cache banks (power of two); the batched memory path
-    /// groups misses per bank, so this sets the contention geometry.
+    /// Shared L2 cache banks (power of two): the bank-contention geometry.
     pub l2_banks: usize,
-    /// DRAM channels (power of two); the batch pass groups per channel.
+    /// DRAM channels (power of two): the channel-contention geometry.
     pub dram_channels: usize,
     /// Cycles one line transfer occupies its DRAM channel (> 0; the
     /// bandwidth term that creates queue waits under conflicts).
@@ -212,8 +208,8 @@ pub struct FuzzScenario {
 }
 
 /// What the oracle stack observed on a clean run — used by tests to assert
-/// the oracles were not vacuous (steals happened, batches were batched,
-/// faults actually fired).
+/// the oracles were not vacuous (steals and rejects happened, the
+/// simulation ran, faults actually fired).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct OracleStats {
     /// Walks serviced by stealing in the lockstep stage.
@@ -222,11 +218,6 @@ pub struct OracleStats {
     pub rejected: u64,
     /// Queued walks cancelled by timeline departures in the lockstep stage.
     pub cancelled: u64,
-    /// Requests that went through `try_enqueue_batch` on the optimized side.
-    pub batched: u64,
-    /// Lines compared through the batched-vs-scalar memory twin in the
-    /// lockstep stage.
-    pub mem_refs: u64,
     /// Events the end-to-end simulation processed.
     pub sim_events: u64,
     /// The end-to-end stage hit the internal event cap and was truncated.
@@ -754,22 +745,6 @@ impl Side {
         self.ws.try_enqueue(req, now, &mut ctx)
     }
 
-    fn enqueue_batch(
-        &mut self,
-        reqs: &[WalkRequest],
-        now: Cycle,
-        out: &mut Vec<Result<Option<DispatchedWalk>, WalkQueueFull>>,
-    ) {
-        let mut ctx = WalkContext {
-            page_tables: &mut self.page_tables,
-            frames: &mut self.frames,
-            mem: &mut self.mem,
-            mask: None,
-            obs: &mut self.obs,
-        };
-        self.ws.try_enqueue_batch(reqs, now, &mut ctx, out);
-    }
-
     /// Completes one walk, checking the no-consecutive-steal rule on the
     /// follow-on dispatch.
     fn complete(&mut self, d: DispatchedWalk) -> Result<Option<DispatchedWalk>, String> {
@@ -792,9 +767,9 @@ impl Side {
     }
 }
 
-/// Drives the optimized (batched) and reference (scalar) schedulers in
-/// lockstep through the scenario's traffic, repartition schedule, and
-/// invariant checks. Returns the lockstep slice of [`OracleStats`].
+/// Drives the optimized and reference schedulers in lockstep through the
+/// scenario's traffic, repartition schedule, and invariant checks.
+/// Returns the lockstep slice of [`OracleStats`].
 fn lockstep(sc: &FuzzScenario, cfg: &GpuConfig) -> Result<OracleStats, Divergence> {
     let div = |detail: String| Divergence {
         stage: "lockstep",
@@ -803,18 +778,6 @@ fn lockstep(sc: &FuzzScenario, cfg: &GpuConfig) -> Result<OracleStats, Divergenc
     let n_tenants = sc.tenants.len();
     let mut a = Side::new(cfg, SchedulerImpl::Optimized);
     let mut b = Side::new(cfg, SchedulerImpl::Reference);
-    // The memory-batch twin: a batched and a scalar `MemSystem` on the
-    // scenario's randomized L2-bank/DRAM-channel shape, fed identical line
-    // bursts each step. The grouped per-bank/per-channel pass must match
-    // the scalar replay request for request, and the full timing state
-    // (hit counters, bank free cycles, channel free cycles) must stay
-    // equal — the fuzzing twin of `tests/batch_differential.rs`.
-    let mut mem_batched = MemSystem::new(cfg.mem);
-    let mut mem_scalar = MemSystem::new(cfg.mem);
-    let mut mem_rng = SimRng::new(sc.seed).split(0x3E3);
-    let mut mem_lines: Vec<LineAddr> = Vec::new();
-    let mut mem_out: Vec<Access> = Vec::new();
-    let mut mem_refs = 0u64;
     let mut rng = SimRng::new(sc.seed).split(0x10C5);
     // Per-scenario pacing: a small stride saturates the queues (exercising
     // rejection and backpressure), a large one drains them (exercising
@@ -823,10 +786,8 @@ fn lockstep(sc: &FuzzScenario, cfg: &GpuConfig) -> Result<OracleStats, Divergenc
     let mut now = Cycle::ZERO;
     let mut attempts_a = 0u64;
     let mut attempts_b = 0u64;
-    let mut batched = 0u64;
     let mut outstanding: Vec<DispatchedWalk> = Vec::new();
     let mut burst: Vec<WalkRequest> = Vec::new();
-    let mut batch_out = Vec::new();
     let mut next_repart = 0usize;
     let mut next_churn = 0usize;
     let mut cancelled = 0u64;
@@ -912,8 +873,6 @@ fn lockstep(sc: &FuzzScenario, cfg: &GpuConfig) -> Result<OracleStats, Divergenc
             burst.push(WalkRequest { tenant: t, vpn });
         }
         attempts_a += burst.len() as u64;
-        batched += burst.len() as u64;
-        a.enqueue_batch(&burst, now, &mut batch_out);
 
         // The planted bug: the reference shim drops the last request of
         // every fifth step's burst. Attempt accounting on the reference
@@ -927,61 +886,21 @@ fn lockstep(sc: &FuzzScenario, cfg: &GpuConfig) -> Result<OracleStats, Divergenc
             burst.len()
         };
         attempts_b += burst.len() as u64;
-        for (i, (&req, ra)) in burst.iter().zip(&batch_out).enumerate() {
+        for (i, &req) in burst.iter().enumerate() {
+            let ra = a.enqueue(req, now);
             if i >= b_take {
-                break;
+                continue;
             }
             let rb = b.enqueue(req, now);
-            if *ra != rb {
+            if ra != rb {
                 return Err(div(format!(
                     "step {step}: enqueue decision {i} diverged: {ra:?} vs {rb:?}"
                 )));
             }
-            if let Ok(Some(d)) = *ra {
+            if let Ok(Some(d)) = ra {
                 let pos = outstanding.partition_point(|o| o.done_at <= d.done_at);
                 outstanding.insert(pos, d);
             }
-        }
-
-        // Drive the memory twin at this step's cycle: a burst from a
-        // 96-line window per tenant, narrow enough that bank and channel
-        // conflicts are routine, mixing data and page-table traffic.
-        mem_lines.clear();
-        // Mostly warp-width bursts; every eighth step goes wider than the
-        // grouped-pass threshold so both batch strategies are fuzzed.
-        let mem_width = if step % 8 == 0 {
-            MemSystem::GROUPED_MIN as u64 + mem_rng.next_below(24)
-        } else {
-            1 + mem_rng.next_below(12)
-        };
-        for _ in 0..mem_width {
-            let t = mem_rng.next_below(n_tenants as u64);
-            mem_lines.push(LineAddr((t << 10) | mem_rng.next_below(96)));
-        }
-        let kind = match mem_rng.next_below(5) {
-            0 => AccessKind::PageTable,
-            1 => AccessKind::PageTableBypass,
-            _ => AccessKind::Data,
-        };
-        mem_out.clear();
-        mem_batched.access_batch(&mem_lines, now, kind, &mut mem_out);
-        for (i, (&line, batched)) in mem_lines.iter().zip(&mem_out).enumerate() {
-            let scalar = mem_scalar.access(line, now, kind);
-            if *batched != scalar {
-                return Err(div(format!(
-                    "step {step}: memory batch request {i} ({line:?}, {kind:?}) \
-                     diverged: {batched:?} vs {scalar:?}"
-                )));
-            }
-        }
-        mem_refs += mem_lines.len() as u64;
-        if mem_batched.stats() != mem_scalar.stats()
-            || mem_batched.bank_free() != mem_scalar.bank_free()
-            || mem_batched.dram().next_free() != mem_scalar.dram().next_free()
-        {
-            return Err(div(format!(
-                "step {step}: memory batch timing state diverged from the scalar replay"
-            )));
         }
 
         // The full ownership decomposition is only valid while walker
@@ -1021,8 +940,6 @@ fn lockstep(sc: &FuzzScenario, cfg: &GpuConfig) -> Result<OracleStats, Divergenc
         steals: stats.stolen.iter().sum(),
         rejected: stats.rejected.iter().sum(),
         cancelled,
-        batched,
-        mem_refs,
         ..OracleStats::default()
     })
 }

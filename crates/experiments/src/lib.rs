@@ -55,7 +55,6 @@ pub mod fault;
 pub mod fuzz;
 pub mod key;
 pub mod parallel;
-pub mod perf;
 pub mod report;
 pub mod scale;
 pub mod store;

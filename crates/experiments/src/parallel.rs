@@ -185,8 +185,7 @@ pub struct RunOptions {
 /// loss at any batch size.
 pub const SERIAL_CUTOFF: usize = 4;
 
-/// The machine's available parallelism (the `--jobs` default and the
-/// `host_parallelism` field of `BENCH_parallel.json`).
+/// The machine's available parallelism (the `--jobs` default).
 ///
 /// `std::thread::available_parallelism` honours cgroup quotas and CPU
 /// affinity masks; when it errors (unsupported platform, restricted

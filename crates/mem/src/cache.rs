@@ -34,7 +34,6 @@ impl CacheConfig {
     }
 }
 
-
 /// Tag stored in never-filled ways. No modeled address reaches it (line
 /// addresses derive from frame numbers far below 2^59), so a probe can
 /// test residency with a single tag compare per way.
@@ -128,48 +127,6 @@ impl Cache {
     #[must_use]
     pub fn contains(&self, line: LineAddr) -> bool {
         self.find(line).is_some()
-    }
-
-    /// Resolves a run of accesses with fill-on-miss semantics in one pass,
-    /// appending one flag per line to `hits` (`true` = resident before the
-    /// access). Bit-identical to calling [`Cache::probe`] and, on a miss,
-    /// [`Cache::fill`] per element in order — including the tick sequence
-    /// (hits advance the LRU clock by one, misses by two) and first-minimum
-    /// victim choice — but each miss does a single fused set scan instead of
-    /// the probe's tag scan plus the fill's tag + recency scans.
-    pub fn probe_fill_batch(&mut self, lines: &[LineAddr], hits: &mut Vec<bool>) {
-        hits.reserve(lines.len());
-        for &line in lines {
-            debug_assert!(line.0 != INVALID_TAG, "line address aliases INVALID_TAG");
-            self.tick += 1;
-            let range = self.set_range(line);
-            let mut found = None;
-            let mut victim = range.start;
-            let mut best = u64::MAX;
-            for i in range {
-                if self.tags[i] == line.0 {
-                    found = Some(i);
-                    break;
-                }
-                // Strict `<` from a MAX sentinel picks the first minimum,
-                // exactly as `fill`'s victim scan does.
-                if self.last_use[i] < best {
-                    victim = i;
-                    best = self.last_use[i];
-                }
-            }
-            if let Some(i) = found {
-                self.last_use[i] = self.tick;
-                self.hits += 1;
-                hits.push(true);
-            } else {
-                self.misses += 1;
-                self.tick += 1; // the fill's own tick, as in scalar probe-then-fill
-                self.tags[victim] = line.0;
-                self.last_use[victim] = self.tick;
-                hits.push(false);
-            }
-        }
     }
 
     /// Inserts `line`, evicting the LRU way of its set if necessary.
@@ -330,42 +287,5 @@ mod tests {
     #[test]
     fn config_lines() {
         assert_eq!(CacheConfig { sets: 64, ways: 16 }.lines(), 1024);
-    }
-
-    /// The batched entry point must be indistinguishable from the scalar
-    /// probe/fill pair — same outcomes, same stats, and the same internal
-    /// LRU clock, so any *future* access sequence behaves identically too.
-    #[test]
-    fn probe_fill_batch_matches_scalar() {
-        let mut batched = Cache::new(CacheConfig { sets: 4, ways: 2 });
-        let mut scalar = Cache::new(CacheConfig { sets: 4, ways: 2 });
-        // A fixed LCG keeps the test deterministic; small address space
-        // forces plenty of conflict evictions.
-        let mut state = 0x2545F491_4F6C_DD1Du64;
-        let mut lines = Vec::new();
-        let mut hits = Vec::new();
-        for _ in 0..200 {
-            lines.clear();
-            let batch = 1 + (state >> 60) as usize % 6;
-            for _ in 0..batch {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                lines.push(LineAddr(state >> 56));
-            }
-            hits.clear();
-            batched.probe_fill_batch(&lines, &mut hits);
-            for (i, &line) in lines.iter().enumerate() {
-                let hit = scalar.probe(line);
-                if !hit {
-                    scalar.fill(line);
-                }
-                assert_eq!(hits[i], hit, "outcome diverged at line {line:?}");
-            }
-            assert_eq!(batched.tick, scalar.tick, "LRU clock diverged");
-            assert_eq!(batched.tags, scalar.tags);
-            assert_eq!(batched.last_use, scalar.last_use);
-        }
-        assert_eq!(batched.hits(), scalar.hits());
-        assert_eq!(batched.misses(), scalar.misses());
-        assert!(batched.hits() > 0 && batched.misses() > 0, "vacuous traffic");
     }
 }

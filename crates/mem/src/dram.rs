@@ -91,40 +91,10 @@ impl Dram {
         wait + self.cfg.access_latency
     }
 
-    /// Issues a batch of accesses, appending each one's total latency to
-    /// `out`. `reqs` must be in issue order: channel state (`next_free`) is
-    /// per-channel and requests to different channels commute, so replaying
-    /// the element order is bit-identical to calling [`Dram::access`] per
-    /// request — the batch just keeps the SoA `next_free` cursors and the
-    /// accumulated statistics in registers across the pass.
-    pub fn access_batch(&mut self, reqs: &[(LineAddr, Cycle)], out: &mut Vec<u64>) {
-        out.reserve(reqs.len());
-        let mask = self.cfg.channels - 1;
-        let occ = self.cfg.occupancy_cycles;
-        let lat = self.cfg.access_latency;
-        let mut total_wait = self.total_queue_wait;
-        for &(line, now) in reqs {
-            let ch = (line.0 as usize) & mask;
-            let start = self.next_free[ch].max(now);
-            let wait = start - now;
-            self.next_free[ch] = start + occ;
-            total_wait += wait;
-            out.push(wait + lat);
-        }
-        self.accesses += reqs.len() as u64;
-        self.total_queue_wait = total_wait;
-    }
-
     /// Number of accesses served.
     #[must_use]
     pub fn accesses(&self) -> u64 {
         self.accesses
-    }
-
-    /// Per-channel next-free cycles, for inspection by differential tests.
-    #[must_use]
-    pub fn next_free(&self) -> &[Cycle] {
-        &self.next_free
     }
 
     /// Mean cycles an access waited for its channel.
@@ -200,37 +170,6 @@ mod tests {
         d.access(LineAddr(0), Cycle(0));
         assert_eq!(d.accesses(), 2);
         assert!((d.mean_queue_wait() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_matches_scalar_including_cross_channel_conflicts() {
-        let cfg = DramConfig {
-            channels: 2,
-            access_latency: 100,
-            occupancy_cycles: 10,
-        };
-        let mut batched = Dram::new(cfg);
-        let mut scalar = Dram::new(cfg);
-        // Lines 1, 3, 5 all land on channel 1; 0 and 2 on channel 0. The
-        // non-monotone `now` values exercise both queued and idle paths.
-        let reqs = [
-            (LineAddr(1), Cycle(0)),
-            (LineAddr(3), Cycle(0)),
-            (LineAddr(0), Cycle(5)),
-            (LineAddr(5), Cycle(2)),
-            (LineAddr(2), Cycle(0)),
-        ];
-        let mut out = Vec::new();
-        batched.access_batch(&reqs, &mut out);
-        let expect: Vec<u64> = reqs.iter().map(|&(l, n)| scalar.access(l, n)).collect();
-        assert_eq!(out, expect);
-        assert_eq!(batched.next_free, scalar.next_free);
-        assert_eq!(batched.accesses(), scalar.accesses());
-        assert!(
-            (batched.mean_queue_wait() - scalar.mean_queue_wait()).abs() < 1e-12
-                && batched.mean_queue_wait() > 0.0,
-            "channel conflicts must be non-vacuous"
-        );
     }
 
     #[test]

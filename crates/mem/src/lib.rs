@@ -12,13 +12,9 @@
 //!   below the SM goes through, including page-table walks (the paper's
 //!   baseline caches page-table entries in the L2).
 //!
-//! Each layer also exposes a batched entry point pinned bit-identical to its
-//! scalar counterpart — [`system::MemSystem::access_batch`] (same-cycle
-//! coalesced requests, grouped per bank/channel),
-//! [`system::MemSystem::access_chain`] (serial PTE chains),
-//! [`cache::Cache::probe_fill_batch`], [`dram::Dram::access_batch`], and
-//! [`mshr::Mshr::allocate_batch`] — so the simulator's hot loop crosses the
-//! memory system once per cycle instead of once per request.
+//! Every request goes through the scalar [`system::MemSystem::access`];
+//! [`system::MemSystem::access_chain`] is its loop form for a walker's serial
+//! PTE chain.
 //!
 //! # Examples
 //!

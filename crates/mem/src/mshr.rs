@@ -94,21 +94,6 @@ impl<K: Eq + Hash + Copy, W> Mshr<K, W> {
         Ok(Allocation::Primary)
     }
 
-    /// Registers a batch of misses in element order, appending one outcome
-    /// per request to `out`. Identical to calling [`Mshr::allocate`] per
-    /// element — a batch is *not* transactional: earlier primaries consume
-    /// capacity that later requests in the same batch then contend for, so
-    /// a batch can mix `Primary`, `Merged`, and `Full` outcomes.
-    pub fn allocate_batch(
-        &mut self,
-        reqs: impl IntoIterator<Item = (K, W)>,
-        out: &mut Vec<Result<Allocation, MshrError>>,
-    ) {
-        for (key, waiter) in reqs {
-            out.push(self.allocate(key, waiter));
-        }
-    }
-
     /// Completes the outstanding miss on `key`, freeing its entry and
     /// returning all waiters in registration order. Returns an empty vector
     /// if no entry was outstanding.
@@ -180,23 +165,6 @@ mod tests {
         assert_eq!(m.complete(5), vec![1, 2, 3]);
         assert_eq!(m.occupancy(), 0);
         assert!(!m.is_outstanding(5));
-    }
-
-    #[test]
-    fn batch_mixes_primary_merge_and_full() {
-        let mut m: Mshr<u32, u32> = Mshr::new(2);
-        let mut out = Vec::new();
-        m.allocate_batch([(1, 10), (1, 11), (2, 20), (3, 30)], &mut out);
-        assert_eq!(
-            out,
-            vec![
-                Ok(Allocation::Primary),
-                Ok(Allocation::Merged),
-                Ok(Allocation::Primary),
-                Err(MshrError::Full),
-            ]
-        );
-        assert_eq!(m.complete(1), vec![10, 11]);
     }
 
     #[test]

@@ -5,11 +5,8 @@
 //! entries are cacheable in the L2 (as in the paper's baseline), and the
 //! MASK-style policy can selectively bypass the L2 for them.
 //!
-//! A cycle's worth of coalesced requests can instead resolve in one pass
-//! through [`MemSystem::access_batch`], which groups requests per L2 bank
-//! and replays the scalar arbitration order bit-identically (see its docs
-//! for the equivalence argument); serial page-walk PTE chains go through
-//! [`MemSystem::access_chain`].
+//! Serial page-walk PTE chains go through [`MemSystem::access_chain`], a
+//! loop over `access` that crosses into the memory system once per walk.
 
 use walksteal_sim_core::{Cycle, LineAddr};
 
@@ -110,35 +107,6 @@ pub struct MemSystem {
     bank_free: Vec<Cycle>,
     dram: Dram,
     stats: MemStats,
-    scratch: BatchScratch,
-}
-
-/// Reusable buffers for [`MemSystem::access_batch`], so the steady-state
-/// batched path allocates nothing.
-#[derive(Debug, Default)]
-struct BatchScratch {
-    /// Requests per bank this batch.
-    counts: Vec<u32>,
-    /// Start offset of each bank's run in `grouped`.
-    offsets: Vec<u32>,
-    /// Requests already placed per bank while grouping.
-    seen: Vec<u32>,
-    /// Request indices, grouped by bank, original order within a bank.
-    grouped: Vec<u32>,
-    /// Per-bank arbitration base cycle (`bank_free.max(now)`).
-    base: Vec<Cycle>,
-    /// Per-request bank-arbitrated start cycle.
-    start: Vec<Cycle>,
-    /// Per-request L2 outcome.
-    hit: Vec<bool>,
-    /// One bank's in-bank line indices.
-    blines: Vec<LineAddr>,
-    /// One bank's probe results.
-    bhits: Vec<bool>,
-    /// The DRAM-bound subset, original request order.
-    dram: Vec<(LineAddr, Cycle)>,
-    /// DRAM latencies for that subset.
-    dram_lat: Vec<u64>,
 }
 
 impl MemSystem {
@@ -159,7 +127,6 @@ impl MemSystem {
             bank_free: vec![Cycle::ZERO; cfg.l2_banks],
             dram: Dram::new(cfg.dram),
             stats: MemStats::default(),
-            scratch: BatchScratch::default(),
         }
     }
 
@@ -220,163 +187,6 @@ impl MemSystem {
         }
     }
 
-    /// Narrowest batch the grouped per-bank/per-channel pass is used for;
-    /// below it [`MemSystem::access_batch`] replays the scalar path, which
-    /// measures faster (both produce bit-identical results). Exposed so the
-    /// differential suites can straddle the crossover on purpose.
-    pub const GROUPED_MIN: usize = 32;
-
-    /// Resolves a same-cycle batch of accesses in one pass, appending one
-    /// [`Access`] per line to `out`, in element order. Bit-identical to
-    /// calling [`MemSystem::access`] per element in order:
-    ///
-    /// * **Bank arbitration.** Bank state is per-bank and `now` is uniform,
-    ///   so each bank's requests start at `base, base + occupancy, …` with
-    ///   `base = bank_free.max(now)` — the closed form of the scalar
-    ///   per-request `max`, computed once per bank against the SoA
-    ///   `bank_free` state.
-    /// * **L2 probes/fills.** Cache state is per-bank, so requests are
-    ///   replayed grouped by bank, preserving original order *within* each
-    ///   bank (a fill from request *i* may change request *j*'s probe on the
-    ///   same line); [`Cache::probe_fill_batch`] keeps the tick/LRU sequence
-    ///   exact.
-    /// * **DRAM.** The channel mask differs from the bank mask, so requests
-    ///   in different banks can contend on one channel; the DRAM-bound
-    ///   subset is issued in original request order, which
-    ///   [`Dram::access_batch`] replays exactly.
-    ///
-    /// Statistics are order-independent sums and match the scalar path.
-    ///
-    /// Narrow batches replay the scalar path directly: its per-access work
-    /// (a masked bank index, one `max`, one set probe) is too cheap for the
-    /// grouping pass to amortize, so the counting sort only pays once a
-    /// burst is wide enough to keep each bank's sub-batch dense (measured
-    /// crossover on the dev host: well above a warp's worth of lines).
-    pub fn access_batch(
-        &mut self,
-        lines: &[LineAddr],
-        now: Cycle,
-        kind: AccessKind,
-        out: &mut Vec<Access>,
-    ) {
-        if lines.len() < Self::GROUPED_MIN {
-            out.reserve(lines.len());
-            for &line in lines {
-                let a = self.access(line, now, kind);
-                out.push(a);
-            }
-            return;
-        }
-        let n = lines.len();
-        let nb = self.cfg.l2_banks;
-        let occ = self.cfg.l2_bank_occupancy;
-        let hit_lat = self.cfg.l2_hit_latency;
-        let bank_bits = self.cfg.l2_banks.trailing_zeros();
-        let mut s = std::mem::take(&mut self.scratch);
-
-        // Stage A: group by bank (order-preserving counting sort) and
-        // arbitrate each bank's run in closed form.
-        s.counts.clear();
-        s.counts.resize(nb, 0);
-        for &line in lines {
-            s.counts[self.bank_of(line)] += 1;
-        }
-        s.offsets.clear();
-        s.base.clear();
-        let mut acc = 0u32;
-        for b in 0..nb {
-            s.offsets.push(acc);
-            acc += s.counts[b];
-            let base = self.bank_free[b].max(now);
-            if s.counts[b] > 0 {
-                self.bank_free[b] = base + u64::from(s.counts[b]) * occ;
-            }
-            s.base.push(base);
-        }
-        s.seen.clear();
-        s.seen.resize(nb, 0);
-        s.grouped.clear();
-        s.grouped.resize(n, 0);
-        s.start.clear();
-        for (i, &line) in lines.iter().enumerate() {
-            let b = self.bank_of(line);
-            let k = s.seen[b];
-            s.seen[b] = k + 1;
-            s.grouped[(s.offsets[b] + k) as usize] = i as u32;
-            s.start.push(s.base[b] + u64::from(k) * occ);
-        }
-
-        // Stage B: per-bank L2 probe/fill replay (bypasses skip the L2).
-        if kind == AccessKind::PageTableBypass {
-            self.stats.pt_dram += n as u64;
-        } else {
-            s.hit.clear();
-            s.hit.resize(n, false);
-            let mut hits_total = 0u64;
-            for b in 0..nb {
-                let lo = s.offsets[b] as usize;
-                let hi = lo + s.counts[b] as usize;
-                if lo == hi {
-                    continue;
-                }
-                s.blines.clear();
-                for &i in &s.grouped[lo..hi] {
-                    s.blines.push(LineAddr(lines[i as usize].0 >> bank_bits));
-                }
-                s.bhits.clear();
-                self.banks[b].probe_fill_batch(&s.blines, &mut s.bhits);
-                for (j, &i) in s.grouped[lo..hi].iter().enumerate() {
-                    if s.bhits[j] {
-                        s.hit[i as usize] = true;
-                        hits_total += 1;
-                    }
-                }
-            }
-            let miss_total = n as u64 - hits_total;
-            match kind {
-                AccessKind::Data => {
-                    self.stats.data_l2_hits += hits_total;
-                    self.stats.data_dram += miss_total;
-                }
-                AccessKind::PageTable => {
-                    self.stats.pt_l2_hits += hits_total;
-                    self.stats.pt_dram += miss_total;
-                }
-                AccessKind::PageTableBypass => unreachable!("handled above"),
-            }
-        }
-
-        // Stage C: the DRAM-bound subset, in original request order.
-        s.dram.clear();
-        for (i, &line) in lines.iter().enumerate() {
-            if kind == AccessKind::PageTableBypass || !s.hit[i] {
-                s.dram.push((line, s.start[i] + hit_lat));
-            }
-        }
-        s.dram_lat.clear();
-        self.dram.access_batch(&s.dram, &mut s.dram_lat);
-
-        // Stage D: assemble results in element order.
-        out.reserve(n);
-        let mut d = 0usize;
-        for i in 0..n {
-            let bank_wait = s.start[i] - now;
-            if kind != AccessKind::PageTableBypass && s.hit[i] {
-                out.push(Access {
-                    latency: bank_wait + hit_lat,
-                    level: HitLevel::L2,
-                });
-            } else {
-                out.push(Access {
-                    latency: bank_wait + hit_lat + s.dram_lat[d],
-                    level: HitLevel::Dram,
-                });
-                d += 1;
-            }
-        }
-        self.scratch = s;
-    }
-
     /// Issues a serial chain of dependent accesses — access `i + 1` starts
     /// the cycle access `i`'s data returns — appending each [`Access`] to
     /// `out` and returning the chain's completion cycle. Equivalent to
@@ -423,19 +233,6 @@ impl MemSystem {
     #[must_use]
     pub fn dram_mean_queue_wait(&self) -> f64 {
         self.dram.mean_queue_wait()
-    }
-
-    /// The DRAM model, for inspection (differential tests compare channel
-    /// occupancy and queue-wait state between scalar and batched paths).
-    #[must_use]
-    pub fn dram(&self) -> &Dram {
-        &self.dram
-    }
-
-    /// Per-bank next-free cycles, for inspection by differential tests.
-    #[must_use]
-    pub fn bank_free(&self) -> &[Cycle] {
-        &self.bank_free
     }
 }
 
@@ -524,83 +321,6 @@ mod tests {
         assert_eq!(s.pt_l2_hits, 0);
     }
 
-    /// Asserts every piece of externally observable state agrees between
-    /// two systems: stats, bank timing, DRAM channel timing and counters.
-    fn assert_state_eq(a: &MemSystem, b: &MemSystem) {
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.bank_free(), b.bank_free());
-        assert_eq!(a.dram().next_free(), b.dram().next_free());
-        assert_eq!(a.dram().accesses(), b.dram().accesses());
-        assert!((a.dram_mean_queue_wait() - b.dram_mean_queue_wait()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_matches_scalar_per_step() {
-        // 4 banks over 2 DRAM channels: banks 1 and 3 share channel 1, so
-        // cross-bank channel contention is exercised (asserted below).
-        let cfg = MemSystemConfig {
-            l2_banks: 4,
-            l2_bank: CacheConfig { sets: 2, ways: 2 },
-            l2_hit_latency: 10,
-            l2_bank_occupancy: 2,
-            dram: DramConfig {
-                channels: 2,
-                access_latency: 100,
-                occupancy_cycles: 5,
-            },
-        };
-        let mut batched = MemSystem::new(cfg);
-        let mut scalar = MemSystem::new(cfg);
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut out = Vec::new();
-        let mut now = Cycle::ZERO;
-        for step in 0..150 {
-            now += 3;
-            // Every third step issues a burst wider than GROUPED_MIN so
-            // both the scalar-replay fast path and the grouped pass run.
-            let batch = if step % 3 == 0 {
-                MemSystem::GROUPED_MIN + 2 + (state >> 61) as usize
-            } else {
-                2 + (state >> 61) as usize
-            };
-            let kind = match state >> 59 & 3 {
-                0 => AccessKind::PageTable,
-                1 => AccessKind::PageTableBypass,
-                _ => AccessKind::Data,
-            };
-            let mut lines = Vec::new();
-            for _ in 0..batch {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                lines.push(LineAddr(state >> 58));
-            }
-            out.clear();
-            batched.access_batch(&lines, now, kind, &mut out);
-            for (i, &line) in lines.iter().enumerate() {
-                let want = scalar.access(line, now, kind);
-                assert_eq!(out[i], want, "result diverged at step {step} index {i}");
-            }
-            assert_state_eq(&batched, &scalar);
-            for &line in &lines {
-                assert_eq!(batched.l2_contains(line), scalar.l2_contains(line));
-            }
-        }
-        assert!(batched.dram_mean_queue_wait() > 0.0, "no channel conflicts exercised");
-        let s = batched.stats();
-        assert!(s.data_l2_hits > 0 && s.data_dram > 0 && s.pt_dram > 0, "vacuous mix");
-    }
-
-    #[test]
-    fn batch_of_one_and_empty_are_scalar() {
-        let mut batched = small();
-        let mut scalar = small();
-        let mut out = Vec::new();
-        batched.access_batch(&[], Cycle(0), AccessKind::Data, &mut out);
-        assert!(out.is_empty());
-        batched.access_batch(&[LineAddr(3)], Cycle(0), AccessKind::Data, &mut out);
-        assert_eq!(out, vec![scalar.access(LineAddr(3), Cycle(0), AccessKind::Data)]);
-        assert_state_eq(&batched, &scalar);
-    }
-
     #[test]
     fn chain_matches_sequential_dependent_accesses() {
         let mut chained = small();
@@ -615,6 +335,8 @@ mod tests {
             assert_eq!(out[i], want);
         }
         assert_eq!(end, at);
-        assert_state_eq(&chained, &scalar);
+        assert_eq!(chained.stats(), scalar.stats());
+        assert_eq!(chained.bank_free, scalar.bank_free);
+        assert_eq!(chained.dram.accesses(), scalar.dram.accesses());
     }
 }

@@ -34,7 +34,6 @@ use walksteal_workloads::{AppId, AppProfile};
 
 use crate::config::{GpuConfig, PolicyPreset};
 use crate::metrics::SimResult;
-use crate::pipeline::StreamPipelining;
 use crate::scenario::ScenarioSpec;
 use crate::sim::Simulation;
 
@@ -95,6 +94,16 @@ impl From<AppId> for TenantSpec {
     }
 }
 
+/// How warp streams are generated: always inline on the simulation thread.
+/// The single variant remains so existing callers of
+/// [`SimulationBuilder::stream_pipelining`] keep compiling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum StreamPipelining {
+    /// Generate each warp's next op inline, when the warp issues it.
+    #[default]
+    Off,
+}
+
 /// Fluent builder for a [`Simulation`]. See the [module docs](self).
 pub struct SimulationBuilder {
     cfg: GpuConfig,
@@ -104,7 +113,6 @@ pub struct SimulationBuilder {
     seed: u64,
     budget: RunBudget,
     obs: Observer,
-    pipelining: StreamPipelining,
 }
 
 impl Default for SimulationBuilder {
@@ -126,7 +134,6 @@ impl SimulationBuilder {
             seed: 42,
             budget: RunBudget::unlimited(),
             obs: Observer::off(),
-            pipelining: StreamPipelining::Auto,
         }
     }
 
@@ -255,15 +262,11 @@ impl SimulationBuilder {
         self
     }
 
-    /// Controls epoch-pipelined warp-stream generation (default:
-    /// [`StreamPipelining::Auto`]): whether epoch N+1's warp ops are
-    /// generated on a second thread while epoch N simulates. Purely a
-    /// performance knob — results are byte-identical in every mode — which
-    /// is why it lives here and not in [`GpuConfig`] (config feeds
-    /// result-cache keys; this must not).
+    /// A no-op kept for source compatibility: streams are always
+    /// generated inline, so the one [`StreamPipelining`] mode changes
+    /// nothing and is not stored.
     #[must_use]
-    pub fn stream_pipelining(mut self, mode: StreamPipelining) -> Self {
-        self.pipelining = mode;
+    pub fn stream_pipelining(self, _mode: StreamPipelining) -> Self {
         self
     }
 
@@ -315,8 +318,7 @@ impl SimulationBuilder {
         if let Some(preset) = self.preset {
             cfg = cfg.try_with_preset(preset)?;
         }
-        let mut sim =
-            Simulation::with_profiles(cfg, &profiles, self.seed, self.obs, self.pipelining);
+        let mut sim = Simulation::with_profiles(cfg, &profiles, self.seed, self.obs);
         if let Some(spec) = scenario {
             sim.attach_scenario(spec.compile());
         }
@@ -358,9 +360,7 @@ mod tests {
             .for_tenants(2)
             .with_preset(PolicyPreset::DwsPlusPlus);
         let profiles = [AppId::Gups.profile(), AppId::Mm.profile()];
-        let direct =
-            Simulation::with_profiles(cfg, &profiles, 7, Observer::off(), StreamPipelining::Off)
-                .run();
+        let direct = Simulation::with_profiles(cfg, &profiles, 7, Observer::off()).run();
         let built = small()
             .tenants([AppId::Gups, AppId::Mm])
             .preset(PolicyPreset::DwsPlusPlus)
@@ -479,27 +479,6 @@ mod tests {
             .run();
         assert_eq!(overridden.tenants[0].app, AppId::Mm, "label preserved");
         assert_ne!(baseline, overridden, "profile override had no effect");
-    }
-
-    #[test]
-    fn pipelined_stream_handoff_is_deterministic() {
-        // A budget long enough that the light tenant relaunches, so the
-        // epoch hand-off (`advance_epoch`) is exercised, not just epoch 0.
-        let run = |mode| {
-            small()
-                .instructions_per_warp(2_000)
-                .tenants([AppId::Gups, AppId::Mm])
-                .preset(PolicyPreset::DwsPlusPlus)
-                .seed(9)
-                .stream_pipelining(mode)
-                .build()
-                .run()
-        };
-        let inline = run(StreamPipelining::Off);
-        let overlapped = run(StreamPipelining::On);
-        assert!(inline.tenants[1].completed_executions > 1, "want a relaunch");
-        assert_eq!(inline, overlapped);
-        assert_eq!(inline, run(StreamPipelining::Auto));
     }
 
     #[test]

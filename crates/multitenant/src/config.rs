@@ -6,7 +6,7 @@ use walksteal_mem::MemSystemConfig;
 use walksteal_sim_core::ConfigError;
 use walksteal_vm::{
     ArenaTlbKind, DwsPlusPlusParams, MaskConfig, PageSize, Replacement, StealMode, TlbConfig,
-    WalkConfig, WalkPolicyKind,
+    WalkConfig, WalkPolicyKind, MAX_PARTITIONED_WALKERS,
 };
 
 /// The configurations compared throughout the paper's evaluation.
@@ -316,12 +316,19 @@ impl GpuConfig {
     }
 
     /// Partitioned policies hand each tenant a fixed walker share, so the
-    /// walker count must divide evenly; other organizations don't care.
+    /// walker count must divide evenly and fit the scheduler's
+    /// [`MAX_PARTITIONED_WALKERS`]; other organizations don't care.
     fn check_walker_split(&self, n_tenants: usize) -> Result<(), ConfigError> {
-        if matches!(self.walk.policy, WalkPolicyKind::Partitioned(_))
-            && n_tenants > 1
-            && self.walk.n_walkers % n_tenants != 0
-        {
+        if !matches!(self.walk.policy, WalkPolicyKind::Partitioned(_)) {
+            return Ok(());
+        }
+        if self.walk.n_walkers > MAX_PARTITIONED_WALKERS {
+            return Err(ConfigError::TooManyWalkers {
+                count: self.walk.n_walkers,
+                max: MAX_PARTITIONED_WALKERS,
+            });
+        }
+        if n_tenants > 1 && self.walk.n_walkers % n_tenants != 0 {
             return Err(ConfigError::UnevenSplit {
                 resource: "walkers",
                 count: self.walk.n_walkers,
@@ -616,6 +623,44 @@ mod tests {
             .with_n_sms(30)
             .with_walkers(18)
             .try_for_tenants(3)
+            .unwrap()
+            .try_with_preset(PolicyPreset::Dws)
+            .is_ok());
+    }
+
+    #[test]
+    fn partitioned_policies_reject_more_walkers_than_the_scheduler_holds() {
+        // 66 splits evenly between two tenants, so only the scheduler's
+        // walker limit can reject it: through the tenant split when the
+        // policy is already partitioned, and through the preset otherwise.
+        let too_many = ConfigError::TooManyWalkers {
+            count: 66,
+            max: MAX_PARTITIONED_WALKERS,
+        };
+        let wide = GpuConfig::default().with_walkers(66);
+        let mut dws = wide.clone();
+        dws.walk.policy = WalkPolicyKind::Partitioned(StealMode::Dws);
+        assert_eq!(dws.try_for_tenants(2).unwrap_err(), too_many);
+        for preset in [PolicyPreset::Dws, PolicyPreset::StaticPartition] {
+            let err = wide
+                .clone()
+                .try_for_tenants(2)
+                .unwrap()
+                .try_with_preset(preset)
+                .unwrap_err();
+            assert_eq!(err, too_many, "{preset}");
+        }
+        // The shared queue keeps the wider walker limit.
+        assert!(wide
+            .clone()
+            .try_for_tenants(2)
+            .unwrap()
+            .try_with_preset(PolicyPreset::Baseline)
+            .is_ok());
+        // The limit itself is accepted.
+        assert!(GpuConfig::default()
+            .with_walkers(MAX_PARTITIONED_WALKERS)
+            .try_for_tenants(2)
             .unwrap()
             .try_with_preset(PolicyPreset::Dws)
             .is_ok());

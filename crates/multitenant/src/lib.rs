@@ -52,14 +52,12 @@
 pub mod build;
 pub mod config;
 pub mod metrics;
-pub mod pipeline;
 pub mod scenario;
 pub mod sim;
 
-pub use build::{SimulationBuilder, TenantSpec};
+pub use build::{SimulationBuilder, StreamPipelining, TenantSpec};
 pub use config::{GpuConfig, PolicyPreset};
 pub use metrics::{fairness, total_ipc, weighted_ipc, Sample, SimResult, TenantResult};
-pub use pipeline::StreamPipelining;
 pub use scenario::{ChurnReport, ScenarioEvent, ScenarioSpec, SloPolicy, TenantChurn};
 pub use sim::Simulation;
 

@@ -10,7 +10,7 @@
 //! exactly where the hardware would.
 
 use walksteal_gpu::{MemRef, SmState};
-use walksteal_mem::{Access, AccessKind, MemSystem};
+use walksteal_mem::{AccessKind, MemSystem};
 use walksteal_sim_core::trace::{Observer, TraceEvent, TraceKind};
 use walksteal_sim_core::{
     BudgetKind, Cycle, EventQueue, FnvMap, LineAddr, Ppn, RunBudget, RunDiag, SimError, TenantId,
@@ -24,7 +24,6 @@ use walksteal_workloads::{AppId, AppProfile, WarpStream};
 
 use crate::config::GpuConfig;
 use crate::metrics::{Sample, SimResult, TenantResult};
-use crate::pipeline::{StreamPipeline, StreamPipelining};
 use crate::scenario::{Action, ChurnReport, ScenarioRuntime, TenantChurn};
 
 /// A translation waiting on an outstanding walk: (sm, warp, reference).
@@ -139,26 +138,11 @@ pub struct Simulation {
     /// VPNs of a warp's coalesced references and their probe results.
     vpn_batch: Vec<Vpn>,
     tlb_batch: Vec<Option<Ppn>>,
-    /// Same-cycle staged L1-miss data accesses awaiting one
-    /// [`MemSystem::access_batch`] pass: `(sm, warp, line)` in reference
-    /// order. Reused across flushes; see [`stage_data`](Self::stage_data).
-    stage: Vec<(u16, u16, LineAddr)>,
-    /// Line addresses split out of `stage` for the batch call.
-    stage_lines: Vec<LineAddr>,
-    /// Batched access results, parallel to `stage_lines`.
-    stage_out: Vec<Access>,
-    /// Fixed-latency event lane for `WarpStart` re-issues at the current
-    /// cycle (see [`EventQueue::push_lane`]).
-    lane_start: usize,
     /// The next `events_processed` boundary (a 64 Ki multiple) at which the
     /// wall-clock budget is sampled; batched counting can jump past a
     /// boundary, so the check compares against this instead of testing
     /// divisibility.
     next_wall_check: u64,
-    /// When present, warp ops come from epoch-pipelined generator threads
-    /// instead of the inline per-warp streams (byte-identical either way;
-    /// see [`crate::pipeline`]).
-    pipeline: Option<StreamPipeline>,
     /// SMs assigned to each tenant (`n_sms / n_tenants`).
     sms_per_tenant: usize,
     events_processed: u64,
@@ -179,9 +163,9 @@ pub struct Simulation {
 
 impl Simulation {
     /// Builds a simulation of `profiles` (one tenant per entry) from `cfg`
-    /// with an explicit [`Observer`] and stream-pipelining mode attached —
-    /// the construction path used by `SimulationBuilder` (the only public
-    /// way to build a [`Simulation`]). Taking behavioral profiles rather
+    /// with an explicit [`Observer`] attached — the construction path used
+    /// by `SimulationBuilder` (the only public way to build a
+    /// [`Simulation`]). Taking behavioral profiles rather
     /// than [`AppId`]s lets synthetic tenants — profiles outside the 13
     /// calibrated apps, as drawn by the scenario fuzzer — run through the
     /// exact same path (an `AppId`'s profile embeds its own id).
@@ -190,7 +174,6 @@ impl Simulation {
         profiles: &[AppProfile],
         seed: u64,
         obs: Observer,
-        pipelining: StreamPipelining,
     ) -> Self {
         assert!(!profiles.is_empty(), "need at least one tenant");
         let cfg = cfg.for_tenants(profiles.len());
@@ -200,23 +183,10 @@ impl Simulation {
         );
         let n_tenants = profiles.len();
         let sms_per_tenant = cfg.n_sms / n_tenants;
-        let pipelined = pipelining.enabled();
 
         let mut sms = Vec::with_capacity(cfg.n_sms);
         let mut warps = Vec::with_capacity(cfg.n_sms * cfg.warps_per_sm);
-        // Seeded duplicates of every warp stream, bucketed per tenant in
-        // tenant-local warp order, for the generator threads.
-        let mut gen_streams: Vec<Vec<WarpStream>> = vec![Vec::new(); n_tenants];
         let mut events = EventQueue::new();
-        // Fixed-latency fast lane for zero-latency `WarpStart` re-issues:
-        // pushes at the (monotone) current cycle skip the generic calendar
-        // insert and drain wholesale. The queue splices lanes back in
-        // insertion order, so routing through one is behavior-preserving.
-        // Positive-latency completions (e.g. L1 hits at `now + 25`) stay on
-        // the calendar: its bucket push is already O(1), so a lane saves
-        // nothing there and the drain-time splice costs ~5% end-to-end
-        // (measured; see EXPERIMENTS.md).
-        let lane_start = events.add_lane();
         for sm in 0..cfg.n_sms {
             let tenant = TenantId((sm / sms_per_tenant) as u8);
             sms.push(SmState::new(cfg.sm, tenant));
@@ -229,9 +199,6 @@ impl Simulation {
                     warp_index,
                     cfg.instructions_per_warp,
                 );
-                if pipelined {
-                    gen_streams[tenant.index()].push(stream.clone());
-                }
                 warps.push(Warp {
                     stream,
                     pending: Vec::new(),
@@ -305,12 +272,7 @@ impl Simulation {
             parked_rr: 0,
             vpn_batch: Vec::new(),
             tlb_batch: Vec::new(),
-            stage: Vec::new(),
-            stage_lines: Vec::new(),
-            stage_out: Vec::new(),
-            lane_start,
             next_wall_check: next_wall_boundary(0),
-            pipeline: pipelined.then(|| StreamPipeline::spawn(gen_streams)),
             sms_per_tenant,
             events,
             now: Cycle::ZERO,
@@ -678,9 +640,8 @@ impl Simulation {
         // Cycle-batched drain: pull every same-cycle event in one queue
         // operation, then dispatch them in the exact order the scalar
         // per-event loop would have popped them. Events pushed back at the
-        // current cycle land in the (now empty) ring bucket or a fast lane
-        // and form the next batch, preserving FIFO order within the cycle
-        // (the queue merges lanes back by global insertion order).
+        // current cycle land in the (now empty) ring bucket and form the
+        // next batch, preserving FIFO order within the cycle.
         let max_cycles = self.cfg.max_cycles;
         let mut batch: Vec<Event> = Vec::with_capacity(256);
         'run: while let Some(at) = self.events.drain_cycle_into(&mut batch) {
@@ -830,13 +791,7 @@ impl Simulation {
         // first-appearance order), and reusing the buffer keeps this
         // per-instruction path allocation-free in steady state.
         let mut refs = std::mem::take(&mut self.warps[wi].pending);
-        let next = if let Some(pl) = &mut self.pipeline {
-            let local = (sm % self.sms_per_tenant) * self.cfg.warps_per_sm + warp;
-            pl.next_op_into(tenant.index(), local, &mut refs)
-        } else {
-            self.warps[wi].stream.next_op_into(&mut refs)
-        };
-        let Some(compute) = next else {
+        let Some(compute) = self.warps[wi].stream.next_op_into(&mut refs) else {
             self.warps[wi].pending = refs;
             self.on_warp_finished(sm, warp, tenant);
             return;
@@ -892,21 +847,13 @@ impl Simulation {
                         if let Some(m) = self.obs.metrics() {
                             m.inc("l1_tlb_hits", Some(self.sms[sm].tenant().0));
                         }
-                        self.stage_data(sm, warp, r, ppn);
+                        self.data_access(sm, warp, r, ppn, self.now);
                     }
-                    None => {
-                        // The miss path can touch the memory system (walk
-                        // dispatch fetches PTEs), so the staged data
-                        // accesses must resolve first to keep the scalar
-                        // order of memory-state mutations.
-                        self.flush_staged();
-                        self.after_l1_miss(sm, warp, r, false);
-                    }
+                    None => self.after_l1_miss(sm, warp, r, false),
                 }
             }
             i += consumed;
         }
-        self.flush_staged();
         self.vpn_batch = vpns;
         self.tlb_batch = probed;
         // Hand the buffer back for the warp's next op (contents are stale
@@ -1036,17 +983,14 @@ impl Simulation {
             self.l2_fill(done.tenant, done.vpn, done.ppn, now);
         }
 
-        // Wake every waiter merged onto this walk. Their data accesses all
-        // issue at `now`, so they stage into one batched memory-system pass;
-        // the flush lands before the parked-translation retries below, which
-        // can touch the memory system themselves.
+        // Wake every waiter merged onto this walk; their data accesses all
+        // issue at `now`.
         if let Some(mut waiters) = self.merge.remove(&(done.tenant, done.vpn)) {
             for &(sm, warp, r) in &waiters {
                 self.sms[sm].fill_l1_tlb(r.vpn, done.ppn, now);
                 self.sms[sm].release_tlb_mshr();
-                self.stage_data(sm, warp, r, done.ppn);
+                self.data_access(sm, warp, r, done.ppn, now);
             }
-            self.flush_staged();
             waiters.clear();
             self.waiter_pool.push(waiters);
         }
@@ -1067,68 +1011,6 @@ impl Simulation {
                 self.begin_ref(sm, warp, r, true);
             }
         }
-    }
-
-    /// Stages one already-translated reference's data phase at the current
-    /// cycle. The L1 cache probes immediately — its state must evolve in
-    /// reference order — and a hit completes on the spot (`now +
-    /// l1_hit_latency`; a hit's completion cycle can never tie with a
-    /// miss's, so pushing hits ahead of staged misses preserves the scalar
-    /// pop order). Only L1 misses collect into `stage` for one
-    /// [`MemSystem::access_batch`] pass at the next
-    /// [`flush_staged`](Self::flush_staged). Bit-identical to calling
-    /// [`data_access`](Self::data_access) per reference at `self.now`.
-    fn stage_data(&mut self, sm: usize, warp: usize, r: MemRef, ppn: Ppn) {
-        let line = LineAddr(ppn.0 * 32 + u64::from(r.line_in_page));
-        if self.sms[sm].access_l1_cache(line) {
-            let l1_lat = self.sms[sm].l1_hit_latency();
-            self.events.push(
-                self.now + l1_lat,
-                Event::RefDone {
-                    sm: sm as u16,
-                    warp: warp as u16,
-                },
-            );
-        } else {
-            self.stage.push((sm as u16, warp as u16, line));
-        }
-    }
-
-    /// Resolves the staged L1 misses: one batched L2/DRAM pass, then the
-    /// `RefDone` completions push through the generic calendar (their
-    /// DRAM latency varies) in reference order — the exact sequence the
-    /// scalar path would have produced, since the staged misses' memory
-    /// accesses were the next memory-system mutations due in any case.
-    fn flush_staged(&mut self) {
-        if self.stage.is_empty() {
-            return;
-        }
-        let at = self.now;
-        // `l1_hit_latency` comes from the one shared `SmConfig`, so a single
-        // issue cycle covers every staged reference regardless of its SM.
-        let l1_lat = self.sms[0].l1_hit_latency();
-        if self.stage.len() == 1 {
-            // One miss — the batch degenerates to one scalar access; skip
-            // the `stage_lines`/`stage_out` round trip.
-            let (sm, warp, line) = self.stage[0];
-            self.stage.clear();
-            let access = self.mem.access(line, at + l1_lat, AccessKind::Data);
-            self.events
-                .push(at + l1_lat + access.latency, Event::RefDone { sm, warp });
-            return;
-        }
-        self.stage_lines.clear();
-        self.stage_lines
-            .extend(self.stage.iter().map(|&(_, _, line)| line));
-        self.stage_out.clear();
-        self.mem
-            .access_batch(&self.stage_lines, at + l1_lat, AccessKind::Data, &mut self.stage_out);
-        for (i, &(sm, warp, _)) in self.stage.iter().enumerate() {
-            let lat = self.stage_out[i].latency;
-            self.events
-                .push(at + l1_lat + lat, Event::RefDone { sm, warp });
-        }
-        self.stage.clear();
     }
 
     /// The data phase of a reference: L1 cache, then shared L2/DRAM.
@@ -1158,10 +1040,7 @@ impl Simulation {
         debug_assert!(w.outstanding > 0, "ref completion without outstanding refs");
         w.outstanding -= 1;
         if w.outstanding == 0 {
-            // Zero-latency re-issue: `self.now` is monotone, so this rides
-            // the dedicated fast lane instead of the calendar insert.
-            self.events.push_lane(
-                self.lane_start,
+            self.events.push(
                 self.now,
                 Event::WarpStart {
                     sm: sm as u16,
@@ -1206,22 +1085,14 @@ impl Simulation {
         }
 
         // Relaunch (the methodology: keep contention alive until every
-        // tenant completes at least once). Pipelined, the next epoch was
-        // generated while this one simulated; swap it in for the whole
-        // tenant instead of relaunching each inline stream.
-        if let Some(pl) = &mut self.pipeline {
-            pl.advance_epoch(tenant.index());
-        }
-        let inline = self.pipeline.is_none();
+        // tenant completes at least once).
         let sms_per_tenant = self.sms_per_tenant;
         let sm_base = tenant.index() * sms_per_tenant;
         for s in sm_base..sm_base + sms_per_tenant {
             for wi in 0..self.cfg.warps_per_sm {
                 let w = &mut self.warps[s * self.cfg.warps_per_sm + wi];
                 w.finished = false;
-                if inline {
-                    w.stream.relaunch();
-                }
+                w.stream.relaunch();
                 self.events.push(
                     self.now,
                     Event::WarpStart {
@@ -1341,7 +1212,7 @@ mod tests {
     /// profile-based construction path.
     fn sim(cfg: GpuConfig, apps: &[AppId], seed: u64) -> Simulation {
         let profiles: Vec<AppProfile> = apps.iter().map(|a| a.profile()).collect();
-        Simulation::with_profiles(cfg, &profiles, seed, Observer::off(), StreamPipelining::Off)
+        Simulation::with_profiles(cfg, &profiles, seed, Observer::off())
     }
 
     fn small_cfg() -> GpuConfig {

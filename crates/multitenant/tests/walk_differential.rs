@@ -267,3 +267,30 @@ fn many_seeds_smoke_dws_plus_plus() {
         drive(&cfg, PolicyPreset::DwsPlusPlus, 1_000 + seed, 1_200, false);
     }
 }
+
+/// The three policy-arena presets match the reference across 2/3/4 tenants
+/// with the steal behavior each design promises: SE-TLB is MIG-style
+/// static partitioning and must never steal, while MOSAIC and DE-GUARD
+/// ride DWS partitions and must provoke steals.
+#[test]
+fn arena_presets_match_reference_with_steal_nonvacuity() {
+    for preset in PolicyPreset::ARENA {
+        let mut stolen = 0;
+        for n_tenants in [2usize, 3, 4] {
+            // Table I's 16 walkers, rounded up to an even split.
+            let cfg = GpuConfig::default()
+                .with_n_sms(8 * n_tenants)
+                .with_walkers(16usize.div_ceil(n_tenants) * n_tenants)
+                .for_tenants(n_tenants)
+                .with_preset(preset);
+            for seed in [0xB1u64, 0xB2, 0xB3] {
+                stolen += drive(&cfg, preset, seed, 4_000, false).0;
+            }
+        }
+        if preset == PolicyPreset::SubEntryTlb {
+            assert_eq!(stolen, 0, "SE-TLB static partitions must never steal");
+        } else {
+            assert!(stolen > 0, "{preset}: arena traffic produced no steals");
+        }
+    }
+}

@@ -130,6 +130,14 @@ pub enum ConfigError {
         /// The requested tenant count.
         n_tenants: usize,
     },
+    /// A partitioned walker policy asks for more walkers than its
+    /// scheduler supports.
+    TooManyWalkers {
+        /// The configured walker count.
+        count: usize,
+        /// The most the partitioned scheduler supports.
+        max: usize,
+    },
     /// A scenario timeline failed validation (depart-before-arrive,
     /// out-of-range tenant index, a window with no resident tenant, ...).
     Scenario(String),
@@ -146,6 +154,10 @@ impl fmt::Display for ConfigError {
             } => write!(
                 f,
                 "{count} {resource} do not divide evenly among {n_tenants} tenants"
+            ),
+            ConfigError::TooManyWalkers { count, max } => write!(
+                f,
+                "{count} walkers exceed the partitioned scheduler's limit of {max}"
             ),
             ConfigError::Scenario(msg) => write!(f, "invalid scenario: {msg}"),
         }

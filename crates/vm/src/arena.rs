@@ -783,17 +783,6 @@ impl ArenaTlb {
         }
     }
 
-    /// Resolves a same-cycle batch of probes; state evolution is identical
-    /// to calling [`probe`](Self::probe) once per element in order (pinned
-    /// by `tests/batch_differential.rs`).
-    pub fn probe_batch(&mut self, probes: &[(TenantId, Vpn)], out: &mut Vec<Option<Ppn>>) {
-        out.clear();
-        out.reserve(probes.len());
-        for &(tenant, vpn) in probes {
-            out.push(self.probe(tenant, vpn));
-        }
-    }
-
     /// Inserts a translation at time `now` under the organization's fill
     /// policy (which may bypass or coalesce it).
     pub fn fill(&mut self, tenant: TenantId, vpn: Vpn, ppn: Ppn, now: Cycle) {
@@ -1139,33 +1128,4 @@ mod tests {
         }
     }
 
-    #[test]
-    fn facade_probe_batch_matches_scalar() {
-        let cfg = TlbConfig {
-            sets: 4,
-            ways: 2,
-            replacement: Replacement::Lru,
-        };
-        for kind in [
-            ArenaTlbKind::SubEntry,
-            ArenaTlbKind::Mosaic,
-            ArenaTlbKind::DeadGuard,
-        ] {
-            let mut a = ArenaTlb::new(kind, cfg, 2, PageSize::Small4K);
-            let mut b = ArenaTlb::new(kind, cfg, 2, PageSize::Small4K);
-            for v in [0u64, 1, 8, 9] {
-                a.fill(T0, Vpn(v), Ppn(v + 100), Cycle(0));
-                b.fill(T0, Vpn(v), Ppn(v + 100), Cycle(0));
-            }
-            let probes: Vec<(TenantId, Vpn)> = [0u64, 0, 3, 8, 9, 9, 1, 40]
-                .into_iter()
-                .map(|v| (T0, Vpn(v)))
-                .collect();
-            let mut batched = Vec::new();
-            a.probe_batch(&probes, &mut batched);
-            let scalar: Vec<Option<Ppn>> = probes.iter().map(|&(t, v)| b.probe(t, v)).collect();
-            assert_eq!(batched, scalar, "{kind:?}");
-            assert_eq!((a.hits(), a.misses()), (b.hits(), b.misses()), "{kind:?}");
-        }
-    }
 }

@@ -31,9 +31,8 @@ use crate::walk::WalkSubsystem;
 /// per-tenant PEND_WALKS views do not exist; only the attempt-accounting
 /// check applies there.
 ///
-/// `attempts` is the caller-counted number of `try_enqueue` /
-/// `try_enqueue_batch` element attempts so far; `at` labels the check
-/// point in the error message.
+/// `attempts` is the caller-counted number of `try_enqueue` attempts so
+/// far; `at` labels the check point in the error message.
 ///
 /// The per-tenant ownership decomposition assumes walker ownership has not
 /// changed while walks were queued. After a mid-run repartition

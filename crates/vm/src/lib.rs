@@ -62,5 +62,5 @@ pub use pwc::{PwCache, PwcHit};
 pub use tlb::{Replacement, Tlb, TlbConfig};
 pub use walk::{
     CompletedWalk, DispatchedWalk, DwsPlusPlusParams, SchedulerImpl, StealMode, WalkConfig,
-    WalkPolicyKind, WalkQueueFull, WalkRequest, WalkStats, WalkSubsystem,
+    WalkPolicyKind, WalkQueueFull, WalkRequest, WalkStats, WalkSubsystem, MAX_PARTITIONED_WALKERS,
 };

@@ -142,14 +142,6 @@ impl PageTable {
         self.leaves.get(&vpn).copied()
     }
 
-    /// The radix index used at `level` (0 = root) for `vpn`.
-    fn index_at(&self, vpn: Vpn, level: usize) -> u64 {
-        let bits = u64::from(self.page_size.bits_per_level());
-        let levels = self.page_size.levels() as u64;
-        let shift = bits * (levels - 1 - level as u64);
-        (vpn.0 >> shift) & ((1 << bits) - 1)
-    }
-
     /// The index-prefix consumed by levels `0..=level` of `vpn`.
     ///
     /// Two VPNs share the page-table node *entered after* `level` iff their
@@ -376,16 +368,5 @@ mod tests {
             );
         }
         assert_eq!(plain.touched_pages(), res.touched_pages());
-    }
-
-    #[test]
-    fn index_at_slices_vpn() {
-        let (pt, _) = pt();
-        // VPN bits: [L0:9][L1:9][L2:9][L3:9]
-        let vpn = Vpn((1 << 27) | (2 << 18) | (3 << 9) | 4);
-        assert_eq!(pt.index_at(vpn, 0), 1);
-        assert_eq!(pt.index_at(vpn, 1), 2);
-        assert_eq!(pt.index_at(vpn, 2), 3);
-        assert_eq!(pt.index_at(vpn, 3), 4);
     }
 }

@@ -181,62 +181,6 @@ impl PwCache {
         None
     }
 
-    /// Resolves a same-cycle batch of probes for one tenant in one pass,
-    /// appending one result per VPN to `out` (cleared first).
-    ///
-    /// A probe never inserts or evicts, so every repeat of a VPN within
-    /// the batch resolves to the entry its first lookup found: consecutive
-    /// repeats skip the per-level prefix search and replay only the
-    /// per-probe bookkeeping (LRU touch, hit/miss counters). State
-    /// evolution is identical to calling [`probe`](Self::probe) once per
-    /// element in order (pinned by `tests/batch_differential.rs`).
-    pub fn probe_batch(
-        &mut self,
-        tenant: TenantId,
-        vpns: &[Vpn],
-        levels: usize,
-        out: &mut Vec<Option<PwcHit>>,
-    ) {
-        out.clear();
-        out.reserve(vpns.len());
-        let mut memo: Option<(Vpn, Option<(u32, PwcHit)>)> = None;
-        for &vpn in vpns {
-            let found = match memo {
-                Some((v, f)) if v == vpn => f,
-                _ => {
-                    let mut f = None;
-                    for level in (0..levels.saturating_sub(1)).rev() {
-                        if self.live[live_slot(tenant, level)] == 0 {
-                            continue;
-                        }
-                        let prefix = Self::prefix_of(vpn, level, levels);
-                        let want = pack_meta(tenant, level);
-                        if let Some(&i) = self.index.get(&index_key(want, prefix)) {
-                            f = Some((
-                                i,
-                                PwcHit {
-                                    level,
-                                    node_addr: self.node_addrs[i as usize],
-                                },
-                            ));
-                            break;
-                        }
-                    }
-                    memo = Some((vpn, f));
-                    f
-                }
-            };
-            if let Some((i, hit)) = found {
-                self.lru_touch(i);
-                self.hits += 1;
-                out.push(Some(hit));
-            } else {
-                self.misses += 1;
-                out.push(None);
-            }
-        }
-    }
-
     /// Inserts (or refreshes) a partial translation: after consuming
     /// `prefix` at `level`, the walk continues from `node_addr`.
     pub fn fill(&mut self, tenant: TenantId, level: usize, prefix: u64, node_addr: PhysAddr) {

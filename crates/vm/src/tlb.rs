@@ -157,49 +157,15 @@ impl Tlb {
         None
     }
 
-    /// Resolves a same-cycle batch of probes in one pass over the tag
-    /// arrays. `out` is cleared and receives one result per probe, in
-    /// order.
-    ///
-    /// A probe never mutates tags, so every repeat of a `(tenant, vpn)`
-    /// within the batch resolves to the way its first lookup found:
-    /// consecutive repeats dedupe into a single tag scan whose result fans
-    /// out, with only the per-probe bookkeeping (tick, LRU stamp, hit/miss
-    /// counters) replayed. State evolution is identical to calling
-    /// [`probe`](Self::probe) once per element in order (pinned by
-    /// `tests/batch_differential.rs`).
-    pub fn probe_batch(&mut self, probes: &[(TenantId, Vpn)], out: &mut Vec<Option<Ppn>>) {
-        out.clear();
-        out.reserve(probes.len());
-        let mut memo: Option<(TenantId, Vpn, Option<usize>)> = None;
-        for &(tenant, vpn) in probes {
-            let way = match memo {
-                Some((t, v, way)) if (t, v) == (tenant, vpn) => way,
-                _ => {
-                    let way = self.find(tenant, vpn);
-                    memo = Some((tenant, vpn, way));
-                    way
-                }
-            };
-            self.tick += 1;
-            if let Some(i) = way {
-                self.last_use[i] = self.tick;
-                self.hits += 1;
-                out.push(Some(self.ppns[i]));
-            } else {
-                self.misses += 1;
-                out.push(None);
-            }
-        }
-    }
-
-    /// As [`probe_batch`](Self::probe_batch) for a single-tenant run of
-    /// probes, but stops after the first miss: a caller that *fills* on a
+    /// Resolves a single-tenant run of probes in one pass over the tag
+    /// arrays, stopping after the first miss: a caller that *fills* on a
     /// miss (so later probes could see different tags) batches the leading
-    /// hit run in one pass and resumes element-wise after handling the
-    /// miss. Returns how many probes were consumed — every consumed probe,
-    /// the trailing miss included, has its result in `out` and its
-    /// bookkeeping applied exactly as a scalar [`probe`](Self::probe).
+    /// hit run and resumes after handling the miss. A probe never mutates
+    /// tags, so a consecutive repeat of a hit VPN reuses the way its first
+    /// lookup found. `out` is cleared; returns how many probes were
+    /// consumed — every consumed probe, the trailing miss included, has its
+    /// result in `out` and its bookkeeping (tick, LRU stamp, hit/miss
+    /// counters) applied exactly as a scalar [`probe`](Self::probe).
     pub fn probe_run(&mut self, tenant: TenantId, vpns: &[Vpn], out: &mut Vec<Option<Ppn>>) -> usize {
         out.clear();
         let mut memo: Option<(Vpn, usize)> = None;
@@ -552,30 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn probe_batch_matches_scalar_probes() {
-        let mut a = tiny();
-        let mut b = tiny();
-        for (v, p) in [(0u64, 10u64), (2, 11), (5, 12)] {
-            a.fill(T0, Vpn(v), Ppn(p), Cycle(0));
-            b.fill(T0, Vpn(v), Ppn(p), Cycle(0));
-        }
-        let probes: Vec<(TenantId, Vpn)> = [0u64, 0, 3, 2, 2, 2, 5, 9, 9, 0]
-            .into_iter()
-            .map(|v| (T0, Vpn(v)))
-            .collect();
-        let mut batched = Vec::new();
-        a.probe_batch(&probes, &mut batched);
-        let scalar: Vec<Option<Ppn>> = probes.iter().map(|&(t, v)| b.probe(t, v)).collect();
-        assert_eq!(batched, scalar);
-        assert_eq!((a.hits(), a.misses()), (b.hits(), b.misses()));
-        // LRU state must match too: same eviction from here on.
-        assert_eq!(
-            a.fill(T0, Vpn(4), Ppn(1), Cycle(1)),
-            b.fill(T0, Vpn(4), Ppn(1), Cycle(1))
-        );
-    }
-
-    #[test]
     fn probe_run_stops_after_first_miss() {
         let mut t = tiny();
         t.fill(T0, Vpn(0), Ppn(7), Cycle(0));
@@ -586,5 +528,66 @@ mod tests {
         assert_eq!(out, vec![Some(Ppn(7)), Some(Ppn(7)), None]);
         assert_eq!(t.hits(), 2);
         assert_eq!(t.misses(), 1);
+    }
+
+    /// [`Tlb::probe_run`] consumes exactly up to (and including) the first
+    /// miss, with every consumed probe's result and bookkeeping matching a
+    /// scalar [`Tlb::probe`] replay — including the fill-and-resume loop
+    /// its caller runs — across tenant counts and seeds.
+    #[test]
+    fn probe_run_matches_scalar() {
+        for n_tenants in [2usize, 3, 4] {
+            for seed in [0xB1u64, 0xB2, 0xB3] {
+                // Tiny sets force evictions, so runs see misses, refills,
+                // and LRU churn, not just a warm TLB.
+                let cfg = TlbConfig {
+                    sets: 4,
+                    ways: 2,
+                    replacement: Replacement::Lru,
+                };
+                let mut run = Tlb::new(cfg, n_tenants);
+                let mut scalar = Tlb::new(cfg, n_tenants);
+                let mut rng = SimRng::new(seed);
+                let mut out = Vec::new();
+                let mut now = Cycle::ZERO;
+                for round in 0..400 {
+                    now += 1;
+                    let t = TenantId(rng.next_below(n_tenants as u64) as u8);
+                    // Deliberate consecutive repeats (warp divergence), the
+                    // runs the way memo targets.
+                    let mut vpns: Vec<Vpn> = Vec::new();
+                    for _ in 0..1 + rng.next_below(8) {
+                        let prev = vpns.last().copied();
+                        vpns.push(match prev {
+                            Some(p) if rng.chance(0.35) => p,
+                            _ => Vpn(rng.next_below(48)),
+                        });
+                    }
+                    let mut start = 0;
+                    while start < vpns.len() {
+                        let used = run.probe_run(t, &vpns[start..], &mut out);
+                        assert!(used >= 1, "probe_run must always consume");
+                        for (i, &v) in vpns[start..start + used].iter().enumerate() {
+                            let want = scalar.probe(t, v);
+                            assert_eq!(out[i], want, "{n_tenants}t seed {seed:#x} round {round}");
+                            if i + 1 < used {
+                                assert!(want.is_some(), "probe_run ran past a miss");
+                            }
+                        }
+                        if out[used - 1].is_none() {
+                            let v = vpns[start + used - 1];
+                            run.fill(t, v, Ppn(v.0), now);
+                            scalar.fill(t, v, Ppn(v.0), now);
+                        } else {
+                            assert_eq!(used, vpns.len() - start, "stopped without a miss");
+                        }
+                        start += used;
+                    }
+                    assert_eq!(run.hits(), scalar.hits(), "hits @ round {round}");
+                    assert_eq!(run.misses(), scalar.misses(), "misses @ round {round}");
+                }
+                assert!(run.hits() > 0 && run.misses() > 0, "vacuous traffic");
+            }
+        }
     }
 }

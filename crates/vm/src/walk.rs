@@ -396,7 +396,6 @@ impl PartSched {
         fn set_stolen(&mut self, w: usize, stolen: bool);
         fn round_robin_owned(&mut self, tenant: TenantId) -> Option<usize>;
         fn least_loaded_owned(&self, tenant: TenantId) -> Option<usize>;
-        fn most_loaded_owned(&self, tenant: TenantId) -> Option<usize>;
         fn push(&mut self, w: usize, p: Pending) -> Option<EpochRollover>;
         fn pop_from_walker(&mut self, w: usize) -> Pending;
         fn first_owned_idle(&self, tenant: TenantId, idle: u128) -> Option<usize>;
@@ -409,6 +408,10 @@ impl PartSched {
         fn next_service(&self, w: usize, strict_pend: bool, queue_entries: usize) -> (Option<(usize, bool)>, bool);
     }
 }
+
+/// The most walkers a partitioned policy supports: the bitmap scheduler
+/// carries walker ownership masks in `u64`s.
+pub const MAX_PARTITIONED_WALKERS: usize = 64;
 
 /// Which implementation backs [`WalkPolicyKind::Partitioned`].
 ///
@@ -1398,7 +1401,7 @@ pub struct WalkSubsystem {
     /// Reusable page-table walk buffer for [`Self::dispatch`].
     path_scratch: WalkPath,
     /// Reusable buffers for the dispatch PTE chain: the line addresses of
-    /// the levels below the PWC hit, and their batched access results.
+    /// the levels below the PWC hit, and their `access_chain` results.
     chain_lines: Vec<LineAddr>,
     chain_out: Vec<Access>,
 }
@@ -1409,17 +1412,18 @@ impl WalkSubsystem {
     /// # Panics
     ///
     /// Panics if the configuration is degenerate (zero walkers/queue
-    /// entries/tenants, more than 128 walkers, or fewer walkers than
-    /// tenants in a partitioned policy).
+    /// entries/tenants, more than 128 walkers, fewer walkers than tenants
+    /// in a partitioned policy, or more than [`MAX_PARTITIONED_WALKERS`]
+    /// in a partitioned policy on the optimized scheduler).
     #[must_use]
     pub fn new(cfg: WalkConfig) -> Self {
         Self::with_scheduler_impl(cfg, SchedulerImpl::Optimized)
     }
 
     /// Like [`WalkSubsystem::new`] but with the partitioned scheduler backed
-    /// by the given implementation. [`SchedulerImpl::Reference`] exists for
-    /// differential stress testing; non-partitioned policies are unaffected
-    /// by the choice.
+    /// by the given implementation. [`SchedulerImpl::Reference`] exists only
+    /// as the differential-testing oracle; non-partitioned policies are
+    /// unaffected by the choice.
     ///
     /// # Panics
     ///
@@ -1446,22 +1450,25 @@ impl WalkSubsystem {
                 }
             }
             WalkPolicyKind::Partitioned(steal) => {
-                // The bitmap layout carries ownership masks in `u64`s; fall
-                // back to the reference tables beyond 64 walkers.
-                let part = if imp == SchedulerImpl::Optimized && cfg.n_walkers <= 64 {
-                    PartSched::Bitmap(BitmapScheduler::new(
+                let part = match imp {
+                    SchedulerImpl::Optimized => {
+                        assert!(
+                            cfg.n_walkers <= MAX_PARTITIONED_WALKERS,
+                            "at most {MAX_PARTITIONED_WALKERS} walkers in a partitioned policy"
+                        );
+                        PartSched::Bitmap(BitmapScheduler::new(
+                            cfg.n_walkers,
+                            cfg.n_tenants,
+                            cfg.queue_entries,
+                            steal.clone(),
+                        ))
+                    }
+                    SchedulerImpl::Reference => PartSched::Reference(ReferenceScheduler::new(
                         cfg.n_walkers,
                         cfg.n_tenants,
                         cfg.queue_entries,
                         steal.clone(),
-                    ))
-                } else {
-                    PartSched::Reference(ReferenceScheduler::new(
-                        cfg.n_walkers,
-                        cfg.n_tenants,
-                        cfg.queue_entries,
-                        steal.clone(),
-                    ))
+                    )),
                 };
                 Scheduler::Partitioned(part)
             }
@@ -1784,30 +1791,6 @@ impl WalkSubsystem {
                 }
                 Ok(None)
             }
-        }
-    }
-
-    /// Accepts a same-cycle batch of L2-TLB misses in arrival order,
-    /// writing one result per request into `out` (cleared first).
-    ///
-    /// Same-cycle arrivals interact — an earlier arrival can take the queue
-    /// slot or idle walker a later one would have used — so the pass is
-    /// strictly order-preserving and equivalent to calling
-    /// [`try_enqueue`](Self::try_enqueue) once per request in order (pinned
-    /// by `tests/batch_differential.rs`); batching amortizes the per-call
-    /// setup and keeps one cycle's arrivals in a single cache-resident
-    /// sweep.
-    pub fn try_enqueue_batch(
-        &mut self,
-        reqs: &[WalkRequest],
-        now: Cycle,
-        ctx: &mut WalkContext<'_>,
-        out: &mut Vec<Result<Option<DispatchedWalk>, WalkQueueFull>>,
-    ) {
-        out.clear();
-        out.reserve(reqs.len());
-        for &req in reqs {
-            out.push(self.try_enqueue(req, now, ctx));
         }
     }
 

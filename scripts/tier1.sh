@@ -6,8 +6,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== build (release) =="
-cargo build --release --workspace
+echo "== build (release, warnings are errors) =="
+RUSTFLAGS="-D warnings" cargo build --release --workspace
 
 echo "== tests (workspace) =="
 cargo test -q --workspace
@@ -15,8 +15,10 @@ cargo test -q --workspace
 echo "== determinism: serial vs --jobs 4 =="
 cargo test -q --test determinism
 
-echo "== perf gate: selftest vs checked-in baseline =="
-PERF_GATE_JOBS="${TIER1_JOBS:-4}" bash scripts/perf_gate.sh
+echo "== walkbench: quick workloads against the seed-42 golden digests =="
+# The benchmark package's smoke test runs all four workloads at quick
+# scale (~3 s) and checks each result digest against its golden.
+cargo test -q --manifest-path walkbench/Cargo.toml
 
 echo "== fault-injection smoke =="
 # Inject a job panic plus a corrupt cache file into a quick-scale run: the
@@ -103,7 +105,7 @@ cmp "$SMOKE/arena.txt" tests/golden/arena_suite.txt
 
 echo "== fuzz + cache-audit smoke =="
 # Replay the checked-in corpus plus a short seeded campaign through the
-# stacked differential oracle (scheduler lockstep, batched-vs-scalar,
+# stacked differential oracle (scheduler lockstep, end-to-end run,
 # trace-replay self-check, fault equivalence). Any divergence exits 1
 # after writing a minimized repro under results/fuzz/repros/.
 ./target/release/repro --fuzz 10 --fuzz-seed 42 2> "$SMOKE/fuzz.txt"

@@ -118,21 +118,23 @@ fn bit_flipped_payload_fails_the_checksum_and_heals() {
 }
 
 #[test]
-fn faulted_fuzz_scenario_covers_batched_paths_and_recovers() {
+fn faulted_fuzz_scenario_covers_lockstep_and_recovers() {
     // The fuzzer's fault-equivalence oracle extends the injection coverage
-    // to the batched enqueue entry points: the corpus scenario carries a
-    // fault schedule (one panic + one budget blowout), and the oracle
-    // asserts the faulted-then-recovered store matches a clean run
-    // byte-for-byte while the lockstep stage drives try_enqueue_batch.
+    // to fuzzed scenarios: the corpus scenario carries a fault schedule
+    // (one panic + one budget blowout), and the oracle asserts the
+    // faulted-then-recovered store matches a clean run byte-for-byte, while
+    // the lockstep stage drives the walk queues into rejection and the
+    // end-to-end stage simulates.
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/fuzz/shared-queue-faults.json");
     let sc = load_repro(&path).expect("corpus scenario parses");
     assert!(sc.faults.is_some(), "this scenario must inject faults");
 
     let stats = run_oracles(&sc).unwrap_or_else(|d| panic!("scenario diverged: {d}"));
     assert!(
-        stats.batched > 0,
-        "the lockstep oracle must exercise batched enqueues"
+        stats.rejected > 0,
+        "the lockstep oracle must drive the walk queue into rejection"
     );
+    assert!(stats.sim_events > 0, "the end-to-end stage must simulate");
     assert_eq!(
         stats.fault_jobs, 3,
         "the fault-equivalence oracle runs its three-job comparison"

@@ -124,17 +124,20 @@ fn corpus_scenarios_replay_clean() {
         "the checked-in corpus should have at least 3 scenarios, found {}",
         files.len()
     );
+    let mut steals = 0u64;
     for path in files {
         let sc = load_repro(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let stats = run_oracles(&sc)
             .unwrap_or_else(|d| panic!("corpus scenario {} diverged: {d}", path.display()));
         assert!(stats.sim_events > 0, "{}: simulation ran", path.display());
         assert!(
-            stats.mem_refs > 0,
-            "{}: the memory-batch twin compared nothing",
+            stats.rejected > 0,
+            "{}: the lockstep traffic never filled a walk queue",
             path.display()
         );
+        steals += stats.steals;
     }
+    assert!(steals > 0, "no corpus scenario exercised walk stealing");
 }
 
 /// Memory-shape fields postdate the repro format: old files load with the

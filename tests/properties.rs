@@ -335,24 +335,6 @@ impl SchedSide {
         self.ws.try_enqueue(req, now, &mut ctx)
     }
 
-    /// A whole cycle's arrivals through the batched entry point the
-    /// simulator's hot loop uses.
-    fn enqueue_batch(
-        &mut self,
-        reqs: &[WalkRequest],
-        now: Cycle,
-        out: &mut Vec<Result<Option<DispatchedWalk>, walksteal::vm::WalkQueueFull>>,
-    ) {
-        let mut ctx = WalkContext {
-            page_tables: &mut self.page_tables,
-            frames: &mut self.frames,
-            mem: &mut self.mem,
-            mask: None,
-            obs: &mut self.obs,
-        };
-        self.ws.try_enqueue_batch(reqs, now, &mut ctx, out);
-    }
-
     fn complete(&mut self, d: DispatchedWalk) -> Option<DispatchedWalk> {
         let mut ctx = WalkContext {
             page_tables: &mut self.page_tables,
@@ -393,8 +375,7 @@ impl SchedSide {
 }
 
 /// Drives both scheduler implementations through lockstep random N-tenant
-/// traffic — the optimized side through the batched enqueue entry point,
-/// the reference side element-wise — checking the partitioned-scheduler
+/// traffic, one request at a time, checking the partitioned-scheduler
 /// invariants on both sides at every step and that the two sides'
 /// inspection views never diverge.
 /// Returns total steals, so callers can assert the run exercised stealing.
@@ -420,7 +401,6 @@ fn drive_invariants(n_tenants: usize, mode: StealMode, seed: u64, steps: usize) 
     let mut attempts = 0u64;
     let mut outstanding: Vec<DispatchedWalk> = Vec::new();
     let mut burst: Vec<WalkRequest> = Vec::new();
-    let mut batch_out = Vec::new();
 
     for step in 0..steps {
         now += 1 + rng.next_below(7);
@@ -455,15 +435,11 @@ fn drive_invariants(n_tenants: usize, mode: StealMode, seed: u64, steps: usize) 
             burst.push(WalkRequest { tenant: t, vpn });
         }
         attempts += burst.len() as u64;
-        // The optimized side takes the cycle's arrivals through the
-        // batched entry point the simulator's hot loop uses; the reference
-        // side replays them element-wise. The invariants below must hold
-        // — and the two views agree — either way.
-        a.enqueue_batch(&burst, now, &mut batch_out);
-        for (i, (&req, ra)) in burst.iter().zip(&batch_out).enumerate() {
+        for (i, &req) in burst.iter().enumerate() {
+            let ra = a.enqueue(req, now);
             let rb = b.enqueue(req, now);
-            assert_eq!(*ra, rb, "step {step}: enqueue decision {i} diverged");
-            if let Ok(Some(d)) = *ra {
+            assert_eq!(ra, rb, "step {step}: enqueue decision {i} diverged");
+            if let Ok(Some(d)) = ra {
                 let pos = outstanding.partition_point(|o| o.done_at <= d.done_at);
                 outstanding.insert(pos, d);
             }
@@ -558,7 +534,6 @@ fn drive_churn(n_tenants: usize, mode: StealMode, seed: u64, steps: usize) -> (u
     let mut cancelled = 0u64;
     let mut outstanding: Vec<DispatchedWalk> = Vec::new();
     let mut burst: Vec<WalkRequest> = Vec::new();
-    let mut batch_out = Vec::new();
     // Tenant 0 is pinned resident (the partition must never go empty);
     // the rest arrive and depart on the timeline below.
     let mut active = vec![true; n_tenants];
@@ -613,11 +588,11 @@ fn drive_churn(n_tenants: usize, mode: StealMode, seed: u64, steps: usize) -> (u
             burst.push(WalkRequest { tenant: t, vpn });
         }
         attempts += burst.len() as u64;
-        a.enqueue_batch(&burst, now, &mut batch_out);
-        for (i, (&req, ra)) in burst.iter().zip(&batch_out).enumerate() {
+        for (i, &req) in burst.iter().enumerate() {
+            let ra = a.enqueue(req, now);
             let rb = b.enqueue(req, now);
-            assert_eq!(*ra, rb, "step {step}: enqueue decision {i} diverged");
-            if let Ok(Some(d)) = *ra {
+            assert_eq!(ra, rb, "step {step}: enqueue decision {i} diverged");
+            if let Ok(Some(d)) = ra {
                 let pos = outstanding.partition_point(|o| o.done_at <= d.done_at);
                 outstanding.insert(pos, d);
             }
@@ -676,6 +651,138 @@ fn scheduler_invariants_hold_under_churn() {
                 cancelled > 0,
                 "{label} at {n_tenants} tenants churned without cancellations"
             );
+        }
+    }
+}
+
+/// Arrival-order property: permuting one tenant's same-cycle arrivals
+/// leaves every steal decision unchanged — the same
+/// walkers dispatch, with the same stolen bits, and the scheduler lands in
+/// the same aggregate state (PEND_WALKS, queue depths, busy counts,
+/// steal/reject statistics). Only the VPN↔walker pairing (and hence each
+/// walk's latency) follows the permutation, because walker choice depends
+/// on scheduler state alone. Cross-tenant order stays semantic: an earlier
+/// arrival can take the queue slot or idle walker a later one would have
+/// used.
+#[test]
+fn single_tenant_arrival_order_permutation_preserves_steal_decisions() {
+    let modes = [
+        StealMode::Dws,
+        StealMode::DwsPlusPlus(DwsPlusPlusParams::paper_default()),
+    ];
+    for mode in modes {
+        for seed in 0..6u64 {
+            let walk = WalkConfig {
+                n_walkers: 12,
+                queue_entries: 24,
+                n_tenants: 3,
+                policy: WalkPolicyKind::Partitioned(mode.clone()),
+                pwc_entries: 128,
+                pwc_latency: 2,
+                dispatch_overhead: 2,
+                strict_pend_check: true,
+            };
+            let mut a = SchedSide::new(&walk, SchedulerImpl::Optimized);
+            let mut b = SchedSide::new(&walk, SchedulerImpl::Optimized);
+
+            // Warm both sides identically: same seed, same replayed
+            // traffic, so they reach the same scheduler state — including
+            // starvation phases that leave foreign walkers idle and
+            // stealable.
+            let mut rng = SimRng::new(0x5EED ^ seed);
+            let mut now = Cycle::ZERO;
+            let mut outstanding: Vec<DispatchedWalk> = Vec::new();
+            for step in 0..600 {
+                now += 1 + rng.next_below(7);
+                while let Some(&d) = outstanding.first() {
+                    if d.done_at > now {
+                        break;
+                    }
+                    outstanding.remove(0);
+                    let na = a.complete(d);
+                    let nb = b.complete(d);
+                    assert_eq!(na, nb, "warm-up diverged (must be deterministic)");
+                    if let Some(n) = na {
+                        let pos = outstanding.partition_point(|o| o.done_at <= n.done_at);
+                        outstanding.insert(pos, n);
+                    }
+                }
+                let solo = (step / 150) % 2 == 1;
+                for _ in 0..rng.next_below(5) {
+                    let t = if solo {
+                        TenantId(0)
+                    } else {
+                        TenantId(rng.next_below(3) as u8)
+                    };
+                    let vpn = Vpn((u64::from(t.0) << 32) | rng.next_below(4_000));
+                    let req = WalkRequest { tenant: t, vpn };
+                    let ra = a.enqueue(req, now);
+                    let rb = b.enqueue(req, now);
+                    assert_eq!(ra, rb, "warm-up diverged");
+                    if let Ok(Some(d)) = ra {
+                        let pos = outstanding.partition_point(|o| o.done_at <= d.done_at);
+                        outstanding.insert(pos, d);
+                    }
+                }
+            }
+
+            // The probe: one cycle's arrivals from tenant 0, forward on
+            // side A, a rotated permutation on side B.
+            now += 1;
+            let k = 3 + rng.next_below(4) as usize;
+            let batch: Vec<WalkRequest> = (0..k)
+                .map(|_| WalkRequest {
+                    tenant: TenantId(0),
+                    vpn: Vpn(rng.next_below(4_000)),
+                })
+                .collect();
+            let rot = 1 + rng.next_below(k as u64 - 1) as usize;
+            let mut permuted = batch.clone();
+            permuted.rotate_left(rot);
+
+            let decisions = |side: &mut SchedSide, reqs: &[WalkRequest], now: Cycle| {
+                let mut seq = Vec::new();
+                let mut accepted = 0u32;
+                for &req in reqs {
+                    let r = side.enqueue(req, now);
+                    if let Ok(d) = r {
+                        accepted += 1;
+                        seq.push(d.map(|d| {
+                            let w = d.walker.index();
+                            let stolen = side.ws.walker_stolen_bits().expect("partitioned")[w];
+                            (w, stolen)
+                        }));
+                    }
+                }
+                (seq, accepted)
+            };
+            let (seq_a, acc_a) = decisions(&mut a, &batch, now);
+            let (seq_b, acc_b) = decisions(&mut b, &permuted, now);
+            assert_eq!(acc_a, acc_b, "{mode:?} seed {seed}: accept count diverged");
+            assert_eq!(
+                seq_a, seq_b,
+                "{mode:?} seed {seed}: walker/steal decision sequence diverged"
+            );
+            assert_eq!(a.ws.pend_walks(), b.ws.pend_walks(), "{mode:?} {seed}");
+            assert_eq!(
+                a.ws.walker_queue_depths(),
+                b.ws.walker_queue_depths(),
+                "{mode:?} {seed}"
+            );
+            assert_eq!(
+                a.ws.walker_stolen_bits(),
+                b.ws.walker_stolen_bits(),
+                "{mode:?} {seed}"
+            );
+            assert_eq!(
+                a.ws.busy_per_tenant(),
+                b.ws.busy_per_tenant(),
+                "{mode:?} {seed}"
+            );
+            let (sa, sb) = (a.ws.stats(), b.ws.stats());
+            assert_eq!(sa.stolen, sb.stolen, "{mode:?} {seed}: steal counts");
+            assert_eq!(sa.enqueued, sb.enqueued, "{mode:?} {seed}");
+            assert_eq!(sa.rejected, sb.rejected, "{mode:?} {seed}");
         }
     }
 }
