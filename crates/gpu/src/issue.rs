@@ -28,8 +28,6 @@ use walksteal_sim_core::Cycle;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IssueServer {
     next_free: Cycle,
-    issued: u64,
-    busy_cycles: u64,
 }
 
 impl IssueServer {
@@ -45,21 +43,7 @@ impl IssueServer {
         let start = self.next_free.max(now);
         let end = start + n_instructions;
         self.next_free = end;
-        self.issued += n_instructions;
-        self.busy_cycles += n_instructions;
         end
-    }
-
-    /// Total instructions issued.
-    #[must_use]
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Cycles the issue port was busy.
-    #[must_use]
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
     }
 
     /// The first cycle at which a new burst could start.
@@ -86,22 +70,14 @@ mod tests {
         let mut s = IssueServer::new();
         s.reserve(Cycle(0), 2);
         assert_eq!(s.reserve(Cycle(50), 2), Cycle(52));
-        assert_eq!(s.busy_cycles(), 4);
-    }
-
-    #[test]
-    fn counts_instructions() {
-        let mut s = IssueServer::new();
-        s.reserve(Cycle(0), 7);
-        s.reserve(Cycle(0), 5);
-        assert_eq!(s.issued(), 12);
+        assert_eq!(s.next_free(), Cycle(52));
     }
 
     #[test]
     fn zero_length_burst_is_free() {
         let mut s = IssueServer::new();
         assert_eq!(s.reserve(Cycle(5), 0), Cycle(5));
-        assert_eq!(s.issued(), 0);
+        assert_eq!(s.reserve(Cycle(5), 1), Cycle(6), "no slot was taken");
     }
 
     #[test]

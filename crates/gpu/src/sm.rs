@@ -57,7 +57,6 @@ pub struct SmState {
     l1_tlb: Tlb,
     l1_cache: Cache,
     outstanding_tlb_misses: usize,
-    instructions_retired: u64,
 }
 
 impl SmState {
@@ -73,7 +72,6 @@ impl SmState {
             l1_tlb: Tlb::new(cfg.l1_tlb, tenant.index() + 1),
             l1_cache: Cache::new(cfg.l1_cache),
             outstanding_tlb_misses: 0,
-            instructions_retired: 0,
             cfg,
         }
     }
@@ -85,16 +83,9 @@ impl SmState {
     }
 
     /// Reserves `n` issue slots starting at `now`; returns the completion
-    /// cycle and counts the instructions as retired.
+    /// cycle.
     pub fn issue_burst(&mut self, now: Cycle, n: u64) -> Cycle {
-        self.instructions_retired += n;
         self.issue.reserve(now, n)
-    }
-
-    /// Instructions retired by this SM.
-    #[must_use]
-    pub fn instructions_retired(&self) -> u64 {
-        self.instructions_retired
     }
 
     /// Probes the private L1 TLB.
@@ -168,12 +159,6 @@ impl SmState {
     pub fn l1_tlb_stats(&self) -> (u64, u64) {
         (self.l1_tlb.hits(), self.l1_tlb.misses())
     }
-
-    /// L1 data-cache statistics: (hits, misses).
-    #[must_use]
-    pub fn l1_cache_stats(&self) -> (u64, u64) {
-        (self.l1_cache.hits(), self.l1_cache.misses())
-    }
 }
 
 #[cfg(test)]
@@ -224,12 +209,10 @@ mod tests {
     }
 
     #[test]
-    fn issue_accumulates_instructions() {
+    fn issue_bursts_serialize() {
         let mut s = sm();
-        let end = s.issue_burst(Cycle(0), 10);
-        assert_eq!(end, Cycle(10));
-        s.issue_burst(Cycle(0), 5);
-        assert_eq!(s.instructions_retired(), 15);
+        assert_eq!(s.issue_burst(Cycle(0), 10), Cycle(10));
+        assert_eq!(s.issue_burst(Cycle(0), 5), Cycle(15));
     }
 
     #[test]
@@ -237,8 +220,6 @@ mod tests {
         let mut s = sm();
         assert!(!s.access_l1_cache(LineAddr(77)));
         assert!(s.access_l1_cache(LineAddr(77)));
-        let (h, m) = s.l1_cache_stats();
-        assert_eq!((h, m), (1, 1));
     }
 
     #[test]

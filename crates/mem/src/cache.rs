@@ -66,8 +66,6 @@ pub struct Cache {
     tags: Vec<u64>,
     last_use: Vec<u64>,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl Cache {
@@ -85,8 +83,6 @@ impl Cache {
             tags: vec![INVALID_TAG; cfg.sets * cfg.ways],
             last_use: vec![0; cfg.sets * cfg.ways],
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -110,20 +106,17 @@ impl Cache {
             .map(|i| start + i)
     }
 
-    /// Looks up `line`, updating LRU state and hit/miss statistics.
-    /// Returns `true` on a hit.
+    /// Looks up `line`, updating LRU state. Returns `true` on a hit.
     pub fn probe(&mut self, line: LineAddr) -> bool {
         self.tick += 1;
         if let Some(i) = self.find(line) {
             self.last_use[i] = self.tick;
-            self.hits += 1;
             return true;
         }
-        self.misses += 1;
         false
     }
 
-    /// Checks residency without disturbing LRU state or statistics.
+    /// Checks residency without disturbing LRU state.
     #[must_use]
     pub fn contains(&self, line: LineAddr) -> bool {
         self.find(line).is_some()
@@ -177,18 +170,6 @@ impl Cache {
     pub fn config(&self) -> CacheConfig {
         self.cfg
     }
-
-    /// Probe hits since construction.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Probe misses since construction.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
 }
 
 #[cfg(test)]
@@ -203,8 +184,7 @@ mod tests {
     fn cold_probe_misses() {
         let mut c = tiny();
         assert!(!c.probe(LineAddr(0)));
-        assert_eq!(c.misses(), 1);
-        assert_eq!(c.hits(), 0);
+        assert!(!c.contains(LineAddr(0)), "a probe never fills");
     }
 
     #[test]
@@ -212,7 +192,7 @@ mod tests {
         let mut c = tiny();
         c.fill(LineAddr(4));
         assert!(c.probe(LineAddr(4)));
-        assert_eq!(c.hits(), 1);
+        assert!(c.probe(LineAddr(4)), "a hit keeps the line");
     }
 
     #[test]
@@ -259,14 +239,14 @@ mod tests {
     }
 
     #[test]
-    fn flush_clears_lines_but_not_stats() {
+    fn flush_clears_lines() {
         let mut c = tiny();
         c.fill(LineAddr(1));
-        c.probe(LineAddr(1));
+        assert!(c.probe(LineAddr(1)));
         c.flush();
         assert_eq!(c.occupancy(), 0);
         assert!(!c.contains(LineAddr(1)));
-        assert_eq!(c.hits(), 1);
+        assert!(!c.probe(LineAddr(1)));
     }
 
     #[test]

@@ -48,8 +48,6 @@ impl Default for DramConfig {
 pub struct Dram {
     cfg: DramConfig,
     next_free: Vec<Cycle>,
-    accesses: u64,
-    total_queue_wait: u64,
 }
 
 impl Dram {
@@ -68,8 +66,6 @@ impl Dram {
         Dram {
             cfg,
             next_free: vec![Cycle::ZERO; cfg.channels],
-            accesses: 0,
-            total_queue_wait: 0,
         }
     }
 
@@ -86,25 +82,7 @@ impl Dram {
         let start = self.next_free[ch].max(now);
         let wait = start - now;
         self.next_free[ch] = start + self.cfg.occupancy_cycles;
-        self.accesses += 1;
-        self.total_queue_wait += wait;
         wait + self.cfg.access_latency
-    }
-
-    /// Number of accesses served.
-    #[must_use]
-    pub fn accesses(&self) -> u64 {
-        self.accesses
-    }
-
-    /// Mean cycles an access waited for its channel.
-    #[must_use]
-    pub fn mean_queue_wait(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.total_queue_wait as f64 / self.accesses as f64
-        }
     }
 
     /// The configured parameters.
@@ -164,12 +142,11 @@ mod tests {
     }
 
     #[test]
-    fn stats_track_waits() {
+    fn partial_overlap_waits_only_the_remainder() {
         let mut d = one_channel();
         d.access(LineAddr(0), Cycle(0));
-        d.access(LineAddr(0), Cycle(0));
-        assert_eq!(d.accesses(), 2);
-        assert!((d.mean_queue_wait() - 5.0).abs() < 1e-12);
+        // The channel frees at cycle 10: an access at 4 waits 6 cycles.
+        assert_eq!(d.access(LineAddr(0), Cycle(4)), 106);
     }
 
     #[test]

@@ -4,8 +4,6 @@
 //!
 //! * [`cache::Cache`] — a set-associative, LRU cache usable as a private L1
 //!   data cache or as one bank of the shared L2.
-//! * [`mshr::Mshr`] — a bounded miss-status-holding-register table that
-//!   merges requests to the same key and enforces a hardware occupancy limit.
 //! * [`dram::Dram`] — a multi-channel device-memory model with fixed access
 //!   latency and bandwidth-limited channel occupancy.
 //! * [`system::MemSystem`] — the shared L2 + DRAM composition every access
@@ -32,10 +30,8 @@
 
 pub mod cache;
 pub mod dram;
-pub mod mshr;
 pub mod system;
 
 pub use cache::{Cache, CacheConfig};
 pub use dram::{Dram, DramConfig};
-pub use mshr::{Mshr, MshrError};
-pub use system::{Access, AccessKind, HitLevel, MemStats, MemSystem, MemSystemConfig};
+pub use system::{Access, AccessKind, HitLevel, MemSystem, MemSystemConfig};

@@ -73,19 +73,6 @@ impl Default for MemSystemConfig {
     }
 }
 
-/// Statistics collected by the [`MemSystem`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemStats {
-    /// Data accesses that hit in the L2.
-    pub data_l2_hits: u64,
-    /// Data accesses served by DRAM.
-    pub data_dram: u64,
-    /// Page-table accesses that hit in the L2.
-    pub pt_l2_hits: u64,
-    /// Page-table accesses served by DRAM (including bypasses).
-    pub pt_dram: u64,
-}
-
 /// The shared L2 cache (banked) plus DRAM.
 ///
 /// # Examples
@@ -106,7 +93,6 @@ pub struct MemSystem {
     banks: Vec<Cache>,
     bank_free: Vec<Cycle>,
     dram: Dram,
-    stats: MemStats,
 }
 
 impl MemSystem {
@@ -126,7 +112,6 @@ impl MemSystem {
             banks: (0..cfg.l2_banks).map(|_| Cache::new(cfg.l2_bank)).collect(),
             bank_free: vec![Cycle::ZERO; cfg.l2_banks],
             dram: Dram::new(cfg.dram),
-            stats: MemStats::default(),
         }
     }
 
@@ -154,7 +139,6 @@ impl MemSystem {
 
         if kind == AccessKind::PageTableBypass {
             let dram_latency = self.dram.access(line, start + self.cfg.l2_hit_latency);
-            self.stats.pt_dram += 1;
             return Access {
                 latency: bank_wait + self.cfg.l2_hit_latency + dram_latency,
                 level: HitLevel::Dram,
@@ -163,11 +147,6 @@ impl MemSystem {
 
         let bline = self.bank_line(line);
         if self.banks[bank].probe(bline) {
-            match kind {
-                AccessKind::Data => self.stats.data_l2_hits += 1,
-                AccessKind::PageTable => self.stats.pt_l2_hits += 1,
-                AccessKind::PageTableBypass => unreachable!("handled above"),
-            }
             return Access {
                 latency: bank_wait + self.cfg.l2_hit_latency,
                 level: HitLevel::L2,
@@ -176,11 +155,6 @@ impl MemSystem {
 
         let dram_latency = self.dram.access(line, start + self.cfg.l2_hit_latency);
         self.banks[bank].fill(bline);
-        match kind {
-            AccessKind::Data => self.stats.data_dram += 1,
-            AccessKind::PageTable => self.stats.pt_dram += 1,
-            AccessKind::PageTableBypass => unreachable!("handled above"),
-        }
         Access {
             latency: bank_wait + self.cfg.l2_hit_latency + dram_latency,
             level: HitLevel::Dram,
@@ -217,22 +191,10 @@ impl MemSystem {
         self.banks[bank].contains(self.bank_line(line))
     }
 
-    /// Accumulated statistics.
-    #[must_use]
-    pub fn stats(&self) -> MemStats {
-        self.stats
-    }
-
     /// The configuration this system was built with.
     #[must_use]
     pub fn config(&self) -> MemSystemConfig {
         self.cfg
-    }
-
-    /// Mean DRAM channel queue wait (cycles per access).
-    #[must_use]
-    pub fn dram_mean_queue_wait(&self) -> f64 {
-        self.dram.mean_queue_wait()
     }
 }
 
@@ -293,8 +255,6 @@ mod tests {
         assert_eq!(a.level, HitLevel::Dram);
         let b = m.access(LineAddr(8), Cycle(1000), AccessKind::PageTable);
         assert_eq!(b.level, HitLevel::L2);
-        assert_eq!(m.stats().pt_l2_hits, 1);
-        assert_eq!(m.stats().pt_dram, 1);
     }
 
     #[test]
@@ -309,16 +269,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_split_data_and_pt() {
+    fn data_and_pt_share_the_l2() {
         let mut m = small();
-        m.access(LineAddr(0), Cycle(0), AccessKind::Data);
-        m.access(LineAddr(0), Cycle(500), AccessKind::Data);
-        m.access(LineAddr(1), Cycle(0), AccessKind::PageTable);
-        let s = m.stats();
-        assert_eq!(s.data_dram, 1);
-        assert_eq!(s.data_l2_hits, 1);
-        assert_eq!(s.pt_dram, 1);
-        assert_eq!(s.pt_l2_hits, 0);
+        let level =
+            |m: &mut MemSystem, line, at, kind| m.access(LineAddr(line), Cycle(at), kind).level;
+        assert_eq!(level(&mut m, 0, 0, AccessKind::Data), HitLevel::Dram);
+        assert_eq!(level(&mut m, 0, 500, AccessKind::Data), HitLevel::L2);
+        assert_eq!(level(&mut m, 1, 0, AccessKind::PageTable), HitLevel::Dram);
+        assert_eq!(level(&mut m, 0, 900, AccessKind::PageTable), HitLevel::L2);
     }
 
     #[test]
@@ -335,8 +293,13 @@ mod tests {
             assert_eq!(out[i], want);
         }
         assert_eq!(end, at);
-        assert_eq!(chained.stats(), scalar.stats());
         assert_eq!(chained.bank_free, scalar.bank_free);
-        assert_eq!(chained.dram.accesses(), scalar.dram.accesses());
+        // Same L2 and DRAM state: the next access sees the same contention.
+        for line in [LineAddr(0), LineAddr(9)] {
+            assert_eq!(
+                chained.access(line, end, AccessKind::Data),
+                scalar.access(line, at, AccessKind::Data)
+            );
+        }
     }
 }

@@ -113,6 +113,7 @@ pub struct SimulationBuilder {
     seed: u64,
     budget: RunBudget,
     obs: Observer,
+    metrics: Option<SharedMetrics>,
 }
 
 impl Default for SimulationBuilder {
@@ -134,6 +135,7 @@ impl SimulationBuilder {
             seed: 42,
             budget: RunBudget::unlimited(),
             obs: Observer::off(),
+            metrics: None,
         }
     }
 
@@ -166,9 +168,7 @@ impl SimulationBuilder {
     /// Attaches a dynamic-tenancy scenario: the timeline supplies the
     /// tenants (mutually exclusive with [`tenant`](Self::tenant) /
     /// [`tenants`](Self::tenants)) and is validated at
-    /// [`build`](Self::build) time. When the scenario declares SLO targets
-    /// and no metrics registry was attached, one is attached automatically
-    /// (the QoS controller reads walk latencies from it).
+    /// [`build`](Self::build) time.
     #[must_use]
     pub fn scenario(mut self, spec: ScenarioSpec) -> Self {
         self.scenario = Some(spec);
@@ -205,11 +205,13 @@ impl SimulationBuilder {
         self
     }
 
-    /// Attaches a metrics registry handle; keep a clone to read the
-    /// collected counters and histograms after the run.
+    /// Attaches a metrics registry handle; keep a clone to read the run's
+    /// final counters and histograms after it ends. The run replaces the
+    /// handle's contents when it ends and never reads them, so attaching
+    /// one does not change the result.
     #[must_use]
     pub fn metrics(mut self, metrics: SharedMetrics) -> Self {
-        self.obs.metrics = Some(metrics);
+        self.metrics = Some(metrics);
         self
     }
 
@@ -303,9 +305,6 @@ impl SimulationBuilder {
                 }
                 spec.validate()?;
                 self.tenants = spec.tenant_specs();
-                if spec.has_slo_targets() && self.obs.metrics.is_none() {
-                    self.obs.metrics = Some(SharedMetrics::new());
-                }
                 Some(spec)
             }
             None => None,
@@ -318,7 +317,7 @@ impl SimulationBuilder {
         if let Some(preset) = self.preset {
             cfg = cfg.try_with_preset(preset)?;
         }
-        let mut sim = Simulation::with_profiles(cfg, &profiles, self.seed, self.obs);
+        let mut sim = Simulation::with_profiles(cfg, &profiles, self.seed, self.obs, self.metrics);
         if let Some(spec) = scenario {
             sim.attach_scenario(spec.compile());
         }
@@ -360,7 +359,7 @@ mod tests {
             .for_tenants(2)
             .with_preset(PolicyPreset::DwsPlusPlus);
         let profiles = [AppId::Gups.profile(), AppId::Mm.profile()];
-        let direct = Simulation::with_profiles(cfg, &profiles, 7, Observer::off()).run();
+        let direct = Simulation::with_profiles(cfg, &profiles, 7, Observer::off(), None).run();
         let built = small()
             .tenants([AppId::Gups, AppId::Mm])
             .preset(PolicyPreset::DwsPlusPlus)

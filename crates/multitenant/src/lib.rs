@@ -22,8 +22,9 @@
 //! three DWS++ variants, MASK, and MASK+DWS).
 //!
 //! Simulations are constructed through the fluent [`SimulationBuilder`],
-//! which also attaches observability sinks (a [`Tracer`] for walk-lifecycle
-//! events, a [`SharedMetrics`] registry for counters and histograms).
+//! which also attaches observability sinks: a [`Tracer`] for walk-lifecycle
+//! events, and a [`SharedMetrics`] registry that the run fills with its
+//! final counters and histograms when it ends.
 //!
 //! Every run is a scenario underneath: a static tenant list is the
 //! degenerate all-arrive-at-cycle-0 timeline, and a [`ScenarioSpec`] adds

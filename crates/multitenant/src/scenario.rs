@@ -81,8 +81,8 @@ pub enum ScenarioEvent {
         active: Vec<bool>,
     },
     /// Declares tenant `tenant`'s p99 walk-latency SLO. The QoS controller
-    /// checks it periodically (see [`SloPolicy`]) against the
-    /// `walk_latency` histogram in the metrics registry.
+    /// checks it periodically (see [`SloPolicy`]) against the tenant's
+    /// walk-latency histogram in the walk layer's statistics.
     SloTarget {
         /// Which tenant (arrival index).
         tenant: usize,
@@ -108,15 +108,15 @@ impl ScenarioEvent {
 /// How the online QoS controller samples and reacts to SLO violations.
 ///
 /// Every `check_interval` cycles the controller reads each targeted
-/// tenant's cumulative p99 walk latency from the metrics registry. On a
-/// violation it throttles the aggressor — the other resident tenant that
+/// tenant's cumulative p99 walk latency from the walk layer's statistics.
+/// On a violation it throttles the aggressor — the other resident tenant that
 /// enqueued the most walks since the last check — by excluding it from the
 /// walker partition; after `evict_after` consecutive violating checks for
 /// the same victim, the aggressor is evicted entirely (a forced
 /// departure). When the victim recovers, throttles lift.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SloPolicy {
-    /// Cycles between SLO checks.
+    /// Cycles between SLO checks; must be positive.
     pub check_interval: u64,
     /// Consecutive violating checks (per victim) before the aggressor is
     /// evicted. Bounds how long a hopeless configuration persists.
@@ -245,12 +245,17 @@ impl ScenarioSpec {
     ///   target per tenant, and targets are positive;
     /// * repartitions cover all tenants, grant at least one a share, and
     ///   only flag tenants resident at that cycle;
-    /// * at least one tenant is resident at every point of the timeline.
+    /// * at least one tenant is resident at every point of the timeline;
+    /// * an SLO policy's check interval is positive (a zero interval would
+    ///   reschedule the check at the same cycle forever).
     pub fn validate(&self) -> Result<(), ConfigError> {
         let err = |msg: String| Err(ConfigError::Scenario(msg));
         let n = self.n_tenants();
         if n == 0 {
             return err("timeline has no Arrive event".into());
+        }
+        if self.slo.is_some_and(|p| p.check_interval == 0) {
+            return err("SLO check_interval must be positive".into());
         }
         if n > usize::from(u8::MAX) {
             return err(format!("{n} tenants exceed the {} maximum", u8::MAX));
@@ -359,8 +364,8 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Whether any tenant declares an SLO target (the builder auto-attaches
-    /// a metrics registry in that case — the controller reads from it).
+    /// Whether any tenant declares an SLO target (the run then schedules the
+    /// QoS controller's periodic checks).
     #[must_use]
     pub fn has_slo_targets(&self) -> bool {
         self.events
@@ -946,6 +951,16 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(e.to_string().contains("positive"), "{e}");
+        let e = ScenarioSpec::new()
+            .arrive(0, AppId::Mm)
+            .slo_target(0, 100)
+            .slo_policy(SloPolicy {
+                check_interval: 0,
+                ..SloPolicy::default()
+            })
+            .validate()
+            .unwrap_err();
+        assert!(e.to_string().contains("check_interval"), "{e}");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 
 use walksteal_gpu::{MemRef, SmState};
 use walksteal_mem::{AccessKind, MemSystem};
+use walksteal_sim_core::metrics::{MetricsRegistry, SharedMetrics};
 use walksteal_sim_core::trace::{Observer, TraceEvent, TraceKind};
 use walksteal_sim_core::{
     BudgetKind, Cycle, EventQueue, FnvMap, LineAddr, Ppn, RunBudget, RunDiag, SimError, TenantId,
@@ -96,8 +97,10 @@ struct Tenant {
     instr_total: u64,
     /// Demand (non-retry) L2 TLB misses.
     l2_demand_misses: u64,
-    /// Demand L2 TLB probes.
-    l2_demand_probes: u64,
+    /// L2 TLB hits, retries included.
+    l2_tlb_hits: u64,
+    /// L2 TLB misses, retries included.
+    l2_tlb_misses: u64,
 }
 
 /// A deterministic simulation of co-running tenants (see crate docs).
@@ -152,8 +155,10 @@ pub struct Simulation {
     timeline: Vec<Sample>,
     /// Per-tenant instruction counts at the previous sample.
     last_sample_instr: Vec<u64>,
-    /// Trace/metrics sinks; [`Observer::off`] when observability is off.
+    /// Trace sink; [`Observer::off`] when tracing is off.
     obs: Observer,
+    /// Filled with the run's final counters when the run ends.
+    metrics: Option<SharedMetrics>,
     /// The workload seed, re-emitted in the trace header for replay.
     seed: u64,
     /// Dynamic-tenancy state when the run has a scenario; `None` keeps the
@@ -163,9 +168,9 @@ pub struct Simulation {
 
 impl Simulation {
     /// Builds a simulation of `profiles` (one tenant per entry) from `cfg`
-    /// with an explicit [`Observer`] attached — the construction path used
-    /// by `SimulationBuilder` (the only public way to build a
-    /// [`Simulation`]). Taking behavioral profiles rather
+    /// with an explicit [`Observer`] and metrics handle attached — the
+    /// construction path used by `SimulationBuilder` (the only public way
+    /// to build a [`Simulation`]). Taking behavioral profiles rather
     /// than [`AppId`]s lets synthetic tenants — profiles outside the 13
     /// calibrated apps, as drawn by the scenario fuzzer — run through the
     /// exact same path (an `AppId`'s profile embeds its own id).
@@ -174,6 +179,7 @@ impl Simulation {
         profiles: &[AppProfile],
         seed: u64,
         obs: Observer,
+        metrics: Option<SharedMetrics>,
     ) -> Self {
         assert!(!profiles.is_empty(), "need at least one tenant");
         let cfg = cfg.for_tenants(profiles.len());
@@ -226,7 +232,8 @@ impl Simulation {
                 completed: Vec::new(),
                 instr_total: 0,
                 l2_demand_misses: 0,
-                l2_demand_probes: 0,
+                l2_tlb_hits: 0,
+                l2_tlb_misses: 0,
             })
             .collect();
 
@@ -282,6 +289,7 @@ impl Simulation {
             timeline: Vec::new(),
             last_sample_instr: vec![0; n_tenants],
             obs,
+            metrics,
             seed,
             scenario: None,
             cfg,
@@ -457,11 +465,11 @@ impl Simulation {
     }
 
     /// One periodic QoS-controller check (see [`SloPolicy`]): read each
-    /// targeted tenant's cumulative p99 walk latency from the metrics
-    /// registry; on a violation throttle the aggressor (the other resident
-    /// tenant that enqueued the most walks since the last check), and after
-    /// `evict_after` consecutive violating checks evict it. When no victim
-    /// is violating, throttles lift.
+    /// targeted tenant's cumulative p99 walk latency from the walk layer's
+    /// latency histogram; on a violation throttle the aggressor (the other
+    /// resident tenant that enqueued the most walks since the last check),
+    /// and after `evict_after` consecutive violating checks evict it. When
+    /// no victim is violating, throttles lift.
     fn on_slo_check(&mut self) {
         let Some(sc) = &self.scenario else { return };
         let Some(policy) = sc.slo else { return };
@@ -478,29 +486,27 @@ impl Simulation {
             .map(|t| enqueued[t] - self.scenario.as_ref().expect("checked").last_enqueued[t])
             .collect();
 
-        // Read each targeted resident's p99 from the registry. The borrow
-        // of `obs` is immutable, so collect verdicts first, then act.
+        // Read each targeted resident's p99, collecting verdicts before
+        // acting on them. A tenant with no completed walk gives none.
         // `None` verdict: the victim completed too few walks since its last
         // counted check — no signal, the check is uncounted and the victim's
         // violation streak decays (a quiet victim is not a suffering one, and
         // must not pin a throttle forever).
         let mut verdicts: Vec<(usize, Option<bool>, u64)> = Vec::new();
-        if let Some(metrics) = self.obs.metrics() {
-            let sc = self.scenario.as_ref().expect("checked");
-            for t in 0..n {
-                let (Some(target), true) = (sc.slo_target[t], sc.active[t]) else {
-                    continue;
-                };
-                let sample = metrics.with(|reg| {
-                    reg.histogram("walk_latency", Some(t as u8))
-                        .map(|h| (h.total(), h.percentile(0.99)))
-                });
-                let Some((total, p99)) = sample else { continue };
-                if total - sc.last_check_walks[t] < policy.min_samples {
-                    verdicts.push((t, None, total));
-                } else {
-                    verdicts.push((t, Some(p99 <= target), total));
-                }
+        let sc = self.scenario.as_ref().expect("checked");
+        for t in 0..n {
+            let (Some(target), true) = (sc.slo_target[t], sc.active[t]) else {
+                continue;
+            };
+            let latency = &self.walk.stats().latency[t];
+            let total = latency.total();
+            if total == 0 {
+                continue;
+            }
+            if total - sc.last_check_walks[t] < policy.min_samples {
+                verdicts.push((t, None, total));
+            } else {
+                verdicts.push((t, Some(latency.percentile(0.99) <= target), total));
             }
         }
 
@@ -758,10 +764,6 @@ impl Simulation {
                 busy: busy as u64,
                 busy_per_tenant: busy_per_tenant.iter().map(|&b| b as u32).collect(),
             });
-            if let Some(m) = self.obs.metrics() {
-                m.sample("queue_depth", cycle, queued as f64);
-                m.sample("busy_walkers", cycle, busy as f64);
-            }
         }
         self.timeline.push(Sample {
             cycle: self.now.0,
@@ -843,12 +845,7 @@ impl Simulation {
             for k in 0..consumed {
                 let r = refs[i + k];
                 match probed[k] {
-                    Some(ppn) => {
-                        if let Some(m) = self.obs.metrics() {
-                            m.inc("l1_tlb_hits", Some(self.sms[sm].tenant().0));
-                        }
-                        self.data_access(sm, warp, r, ppn, self.now);
-                    }
+                    Some(ppn) => self.data_access(sm, warp, r, ppn, self.now),
                     None => self.after_l1_miss(sm, warp, r, false),
                 }
             }
@@ -863,13 +860,8 @@ impl Simulation {
 
     /// Drives one coalesced reference through translation and then data.
     fn begin_ref(&mut self, sm: usize, warp: usize, r: MemRef, is_retry: bool) {
-        let tenant = self.sms[sm].tenant();
-
         // L1 TLB.
         if let Some(ppn) = self.sms[sm].probe_l1_tlb(r.vpn) {
-            if let Some(m) = self.obs.metrics() {
-                m.inc("l1_tlb_hits", Some(tenant.0));
-            }
             self.data_access(sm, warp, r, ppn, self.now);
             return;
         }
@@ -880,9 +872,6 @@ impl Simulation {
     /// allocation, L2 TLB, and the walk-merge path.
     fn after_l1_miss(&mut self, sm: usize, warp: usize, r: MemRef, is_retry: bool) {
         let tenant = self.sms[sm].tenant();
-        if let Some(m) = self.obs.metrics() {
-            m.inc("l1_tlb_misses", Some(tenant.0));
-        }
         if !self.sms[sm].try_take_tlb_mshr() {
             self.parked[tenant.index()].push_back((sm, warp, r));
             return;
@@ -895,20 +884,14 @@ impl Simulation {
         if let Some(mask) = &mut self.mask {
             mask.on_l2_tlb_probe(tenant, hit.is_some(), now);
         }
-        if !is_retry {
-            let t = &mut self.tenants[tenant.index()];
-            t.l2_demand_probes += 1;
-            if hit.is_none() {
+        let t = &mut self.tenants[tenant.index()];
+        if hit.is_some() {
+            t.l2_tlb_hits += 1;
+        } else {
+            t.l2_tlb_misses += 1;
+            if !is_retry {
                 t.l2_demand_misses += 1;
             }
-        }
-        if let Some(m) = self.obs.metrics() {
-            let name = if hit.is_some() {
-                "l2_tlb_hits"
-            } else {
-                "l2_tlb_misses"
-            };
-            m.inc(name, Some(tenant.0));
         }
         if let Some(ppn) = hit {
             self.sms[sm].fill_l1_tlb(r.vpn, ppn, now + l2_lat);
@@ -1104,6 +1087,31 @@ impl Simulation {
         }
     }
 
+    /// Fills the attached metrics handle with the run's final counters,
+    /// replacing whatever it held.
+    fn export_metrics(&self, handle: &SharedMetrics) {
+        let stats = self.walk.stats();
+        let mut reg = MetricsRegistry::new();
+        let sms = self.sms.chunks(self.sms_per_tenant);
+        for (t, (tenant, sms)) in self.tenants.iter().zip(sms).enumerate() {
+            let id = Some(t as u8);
+            let (l1_hits, l1_misses) = sms
+                .iter()
+                .map(SmState::l1_tlb_stats)
+                .fold((0, 0), |(h, m), (sh, sm)| (h + sh, m + sm));
+            reg.set_counter("l1_tlb_hits", id, l1_hits);
+            reg.set_counter("l1_tlb_misses", id, l1_misses);
+            reg.set_counter("l2_tlb_hits", id, tenant.l2_tlb_hits);
+            reg.set_counter("l2_tlb_misses", id, tenant.l2_tlb_misses);
+            reg.set_counter("walks_completed", id, stats.completed[t]);
+            reg.set_counter("walks_stolen", id, stats.stolen[t]);
+            reg.set_histogram("walk_latency", id, stats.latency[t].clone());
+        }
+        reg.set_counter("steal_success", None, stats.steals);
+        reg.set_counter("steal_attempts", None, stats.steal_attempts);
+        handle.replace(reg);
+    }
+
     /// Gathers final metrics.
     fn collect(mut self) -> SimResult {
         let end = self.now;
@@ -1113,6 +1121,9 @@ impl Simulation {
             events: events_processed,
         });
         self.obs.flush();
+        if let Some(handle) = &self.metrics {
+            self.export_metrics(handle);
+        }
         let tenants = self
             .tenants
             .iter()
@@ -1212,7 +1223,7 @@ mod tests {
     /// profile-based construction path.
     fn sim(cfg: GpuConfig, apps: &[AppId], seed: u64) -> Simulation {
         let profiles: Vec<AppProfile> = apps.iter().map(|a| a.profile()).collect();
-        Simulation::with_profiles(cfg, &profiles, seed, Observer::off())
+        Simulation::with_profiles(cfg, &profiles, seed, Observer::off(), None)
     }
 
     fn small_cfg() -> GpuConfig {

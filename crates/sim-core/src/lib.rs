@@ -10,8 +10,8 @@
 //!   FIFO tie-breaking for events scheduled at the same cycle.
 //! * [`rng`] — a small, fast, seedable random-number generator ([`SimRng`])
 //!   so simulations replay bit-identically from a seed.
-//! * [`stats`] — counters, running means, histograms, and the geometric /
-//!   arithmetic mean helpers used throughout the paper's evaluation.
+//! * [`stats`] — histograms and the geometric / arithmetic mean helpers
+//!   used throughout the paper's evaluation.
 //! * [`json`] — a dependency-free JSON reader/writer ([`Json`]) for the
 //!   experiment cache and CLI output, so the workspace builds offline.
 //! * [`error`] — structured run failures ([`SimError`]) and watchdog
@@ -19,8 +19,9 @@
 //!   diagnostic instead of hanging its caller.
 //! * [`trace`] — zero-cost-when-off walk-lifecycle tracing ([`Tracer`],
 //!   [`TraceEvent`], [`Observer`]) with JSONL and ring-buffer sinks.
-//! * [`metrics`] — a registry of named counters, histograms, and time
-//!   series ([`MetricsRegistry`]) collected alongside traces.
+//! * [`metrics`] — a registry of named counters and histograms
+//!   ([`MetricsRegistry`]) that a run fills from its own counters when it
+//!   ends.
 //!
 //! # Examples
 //!
@@ -56,7 +57,7 @@ pub use ids::{Cycle, LineAddr, PhysAddr, Ppn, SmId, TenantId, VirtAddr, Vpn, Wal
 pub use json::Json;
 pub use metrics::{MetricsRegistry, SharedMetrics};
 pub use rng::SimRng;
-pub use stats::{amean, gmean, Counter, Histogram, RunningMean};
+pub use stats::{amean, gmean, Histogram};
 pub use trace::{
     JsonlTracer, NullTracer, Observer, RingTracer, TraceEvent, TraceFilter, TraceKind, Tracer,
 };

@@ -1,26 +1,28 @@
-//! A registry of named counters, histograms, and time series.
+//! A registry of named counters and histograms: the export form of a run's
+//! final counters.
 //!
-//! The registry is attached to a simulation through
-//! [`crate::trace::Observer`]; when absent, instrumentation sites cost a
-//! single branch. When present, metrics are keyed by a `&'static str` name
-//! plus an optional tenant index, looked up by linear scan — registration
-//! order is deterministic and the metric set is small, so the scan is cheap
-//! and, unlike hashing, allocation-free.
+//! The simulator counts each fact once, in an always-on typed counter of
+//! the layer that owns it. When a run ends it fills an attached
+//! [`SharedMetrics`] with those counters under stable names; nothing in the
+//! run reads the registry back, so attaching one never changes a result.
+//! Metrics are keyed by a `&'static str` name plus an optional tenant
+//! index.
 //!
 //! # Examples
 //!
 //! ```
 //! use walksteal_sim_core::metrics::MetricsRegistry;
+//! use walksteal_sim_core::Histogram;
+//!
+//! let mut latency = Histogram::new(128, 32);
+//! latency.record(180);
 //!
 //! let mut m = MetricsRegistry::new();
-//! m.inc("steal_success", Some(1));
-//! m.add("steal_success", Some(1), 2);
-//! m.observe("walk_latency", Some(0), 180);
-//! m.sample("queue_depth", 100, 7.0);
+//! m.set_counter("steal_success", None, 3);
+//! m.set_histogram("walk_latency", Some(0), latency);
 //!
-//! assert_eq!(m.counter("steal_success", Some(1)), 3);
+//! assert_eq!(m.counter("steal_success", None), 3);
 //! assert_eq!(m.histogram("walk_latency", Some(0)).unwrap().total(), 1);
-//! assert_eq!(m.series("queue_depth").unwrap(), &[(100, 7.0)]);
 //! ```
 
 use std::cell::RefCell;
@@ -45,20 +47,11 @@ impl Key {
     }
 }
 
-/// Histogram shape used by [`MetricsRegistry::observe`]: 128 buckets of 32
-/// cycles each (plus the implicit overflow bucket), sized for walk latencies.
-const DEFAULT_HIST_BUCKETS: usize = 128;
-const DEFAULT_HIST_WIDTH: u64 = 32;
-
-/// Counters, histograms, and time series collected during a run.
-///
-/// All accessors auto-register on first use, so instrumentation sites don't
-/// need a setup phase.
+/// Named counters and histograms, in the order they were set.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: Vec<(Key, u64)>,
     hists: Vec<(Key, Histogram)>,
-    series: Vec<(&'static str, Vec<(u64, f64)>)>,
 }
 
 impl MetricsRegistry {
@@ -68,23 +61,16 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Adds 1 to a counter.
-    #[inline]
-    pub fn inc(&mut self, name: &'static str, tenant: Option<u8>) {
-        self.add(name, tenant, 1);
-    }
-
-    /// Adds `n` to a counter.
-    pub fn add(&mut self, name: &'static str, tenant: Option<u8>, n: u64) {
+    /// Sets a counter to `value`.
+    pub fn set_counter(&mut self, name: &'static str, tenant: Option<u8>, value: u64) {
         let key = Key { name, tenant };
-        if let Some((_, v)) = self.counters.iter_mut().find(|(k, _)| *k == key) {
-            *v += n;
-            return;
+        match self.counters.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, v)) => *v = value,
+            None => self.counters.push((key, value)),
         }
-        self.counters.push((key, n));
     }
 
-    /// Current value of a counter (0 when never touched).
+    /// Current value of a counter (0 when never set).
     #[must_use]
     pub fn counter(&self, name: &'static str, tenant: Option<u8>) -> u64 {
         let key = Key { name, tenant };
@@ -94,64 +80,30 @@ impl MetricsRegistry {
             .map_or(0, |&(_, v)| v)
     }
 
-    /// Records `sample` into a histogram with the default latency shape.
-    pub fn observe(&mut self, name: &'static str, tenant: Option<u8>, sample: u64) {
-        self.observe_shaped(name, tenant, sample, DEFAULT_HIST_BUCKETS, DEFAULT_HIST_WIDTH);
-    }
-
-    /// Records `sample` into a histogram, creating it with the given shape
-    /// on first use (the shape of an existing histogram is not changed).
-    pub fn observe_shaped(
-        &mut self,
-        name: &'static str,
-        tenant: Option<u8>,
-        sample: u64,
-        buckets: usize,
-        width: u64,
-    ) {
+    /// Sets a histogram.
+    pub fn set_histogram(&mut self, name: &'static str, tenant: Option<u8>, hist: Histogram) {
         let key = Key { name, tenant };
-        if let Some((_, h)) = self.hists.iter_mut().find(|(k, _)| *k == key) {
-            h.record(sample);
-            return;
+        match self.hists.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, h)) => *h = hist,
+            None => self.hists.push((key, hist)),
         }
-        let mut h = Histogram::new(buckets, width);
-        h.record(sample);
-        self.hists.push((key, h));
     }
 
-    /// A recorded histogram, if any samples were observed.
+    /// A histogram, if one was set.
     #[must_use]
     pub fn histogram(&self, name: &'static str, tenant: Option<u8>) -> Option<&Histogram> {
         let key = Key { name, tenant };
         self.hists.iter().find(|(k, _)| *k == key).map(|(_, h)| h)
     }
 
-    /// Appends a `(cycle, value)` point to a time series.
-    pub fn sample(&mut self, name: &'static str, cycle: u64, value: f64) {
-        if let Some((_, points)) = self.series.iter_mut().find(|(n, _)| *n == name) {
-            points.push((cycle, value));
-            return;
-        }
-        self.series.push((name, vec![(cycle, value)]));
-    }
-
-    /// A recorded time series, oldest point first.
-    #[must_use]
-    pub fn series(&self, name: &'static str) -> Option<&[(u64, f64)]> {
-        self.series
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, points)| points.as_slice())
-    }
-
-    /// Whether nothing was recorded.
+    /// Whether nothing was set.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.hists.is_empty() && self.series.is_empty()
+        self.counters.is_empty() && self.hists.is_empty()
     }
 
-    /// Snapshot of everything recorded, for reports:
-    /// `{"counters": {...}, "histograms": {...}, "series": {...}}`.
+    /// Snapshot of everything set, for reports:
+    /// `{"counters": {...}, "histograms": {...}}`.
     ///
     /// Histograms export `count`, `mean`, `max`, `p50`, `p95`, and `p99`
     /// rather than raw buckets.
@@ -179,25 +131,9 @@ impl MetricsRegistry {
                 )
             })
             .collect();
-        let series = self
-            .series
-            .iter()
-            .map(|(n, points)| {
-                (
-                    (*n).to_string(),
-                    Json::Arr(
-                        points
-                            .iter()
-                            .map(|&(c, v)| Json::Arr(vec![Json::UInt(c), Json::Num(v)]))
-                            .collect(),
-                    ),
-                )
-            })
-            .collect();
         Json::Obj(vec![
             ("counters".to_string(), Json::Obj(counters)),
             ("histograms".to_string(), Json::Obj(hists)),
-            ("series".to_string(), Json::Obj(series)),
         ])
     }
 }
@@ -205,14 +141,17 @@ impl MetricsRegistry {
 /// A cloneable handle to a [`MetricsRegistry`].
 ///
 /// The simulation consumes itself on `run()`, so callers that want the
-/// collected metrics afterwards attach a handle and keep a clone:
+/// final counters attach a handle and keep a clone; the run replaces the
+/// handle's contents when it ends:
 ///
 /// ```
-/// use walksteal_sim_core::metrics::SharedMetrics;
+/// use walksteal_sim_core::metrics::{MetricsRegistry, SharedMetrics};
 ///
 /// let metrics = SharedMetrics::new();
 /// let sink = metrics.clone(); // handed to the simulation
-/// sink.inc("steal_success", None);
+/// let mut last = MetricsRegistry::new();
+/// last.set_counter("steal_success", None, 1);
+/// sink.replace(last);
 /// assert_eq!(metrics.counter("steal_success", None), 1);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -225,40 +164,24 @@ impl SharedMetrics {
         SharedMetrics::default()
     }
 
-    /// Adds 1 to a counter.
-    #[inline]
-    pub fn inc(&self, name: &'static str, tenant: Option<u8>) {
-        self.0.borrow_mut().inc(name, tenant);
+    /// Replaces everything the registry holds with `registry`.
+    pub fn replace(&self, registry: MetricsRegistry) {
+        *self.0.borrow_mut() = registry;
     }
 
-    /// Adds `n` to a counter.
-    pub fn add(&self, name: &'static str, tenant: Option<u8>, n: u64) {
-        self.0.borrow_mut().add(name, tenant, n);
-    }
-
-    /// Records `sample` into a histogram with the default latency shape.
-    pub fn observe(&self, name: &'static str, tenant: Option<u8>, sample: u64) {
-        self.0.borrow_mut().observe(name, tenant, sample);
-    }
-
-    /// Appends a `(cycle, value)` point to a time series.
-    pub fn sample(&self, name: &'static str, cycle: u64, value: f64) {
-        self.0.borrow_mut().sample(name, cycle, value);
-    }
-
-    /// Current value of a counter (0 when never touched).
+    /// Current value of a counter (0 when never set).
     #[must_use]
     pub fn counter(&self, name: &'static str, tenant: Option<u8>) -> u64 {
         self.0.borrow().counter(name, tenant)
     }
 
     /// Runs `f` against the underlying registry, for reads that need more
-    /// than a scalar (histograms, series).
+    /// than a scalar (histograms).
     pub fn with<R>(&self, f: impl FnOnce(&MetricsRegistry) -> R) -> R {
         f(&self.0.borrow())
     }
 
-    /// Snapshot of everything recorded (see [`MetricsRegistry::to_json`]).
+    /// Snapshot of everything set (see [`MetricsRegistry::to_json`]).
     #[must_use]
     pub fn to_json(&self) -> Json {
         self.0.borrow().to_json()
@@ -269,63 +192,54 @@ impl SharedMetrics {
 mod tests {
     use super::*;
 
+    fn hist(samples: &[u64]) -> Histogram {
+        let mut h = Histogram::new(8, 10);
+        samples.iter().for_each(|&s| h.record(s));
+        h
+    }
+
     #[test]
-    fn shared_handle_sees_sink_writes() {
+    fn replace_drops_everything_held_before() {
         let metrics = SharedMetrics::new();
         let sink = metrics.clone();
-        sink.inc("c", Some(0));
-        sink.observe("h", None, 12);
-        sink.sample("s", 5, 1.5);
+        let mut first = MetricsRegistry::new();
+        first.set_counter("old", None, 9);
+        first.set_histogram("h", None, hist(&[1, 2]));
+        sink.replace(first);
+        assert_eq!(metrics.counter("old", None), 9);
+
+        let mut second = MetricsRegistry::new();
+        second.set_counter("c", Some(0), 1);
+        sink.replace(second);
+        assert_eq!(metrics.counter("old", None), 0, "earlier contents survived");
         assert_eq!(metrics.counter("c", Some(0)), 1);
-        assert_eq!(metrics.with(|m| m.histogram("h", None).unwrap().total()), 1);
-        assert_eq!(metrics.with(|m| m.series("s").unwrap().to_vec()), vec![(5, 1.5)]);
+        assert!(metrics.with(|m| m.histogram("h", None).is_none()));
     }
 
     #[test]
-    fn counters_accumulate_per_key() {
-        let mut m = MetricsRegistry::new();
-        m.inc("steals", Some(0));
-        m.inc("steals", Some(0));
-        m.inc("steals", Some(1));
-        m.inc("rollovers", None);
-        assert_eq!(m.counter("steals", Some(0)), 2);
-        assert_eq!(m.counter("steals", Some(1)), 1);
-        assert_eq!(m.counter("rollovers", None), 1);
-        assert_eq!(m.counter("steals", None), 0, "tenant is part of the key");
-        assert_eq!(m.counter("absent", Some(0)), 0);
-    }
-
-    #[test]
-    fn histograms_and_series_record() {
+    fn counters_are_keyed_by_name_and_tenant() {
         let mut m = MetricsRegistry::new();
         assert!(m.is_empty());
-        for v in [10, 20, 30] {
-            m.observe("lat", Some(0), v);
-        }
-        let h = m.histogram("lat", Some(0)).unwrap();
-        assert_eq!(h.total(), 3);
-        assert!((h.mean() - 20.0).abs() < 16.0, "bucketed mean near 20");
-
-        m.sample("depth", 0, 1.0);
-        m.sample("depth", 10, 2.0);
-        assert_eq!(m.series("depth").unwrap().len(), 2);
-        assert!(m.series("absent").is_none());
+        m.set_counter("steals", Some(0), 2);
+        m.set_counter("steals", Some(1), 1);
+        m.set_counter("steals", Some(0), 5);
+        assert_eq!(m.counter("steals", Some(0)), 5, "a second set overwrites");
+        assert_eq!(m.counter("steals", Some(1)), 1);
+        assert_eq!(m.counter("steals", None), 0, "tenant is part of the key");
+        assert_eq!(m.counter("absent", Some(0)), 0);
         assert!(!m.is_empty());
     }
 
     #[test]
-    fn json_snapshot_has_all_sections() {
+    fn json_snapshot_has_both_sections() {
         let mut m = MetricsRegistry::new();
-        m.inc("c", None);
-        m.observe("h", Some(1), 5);
-        m.sample("s", 7, 0.5);
+        m.set_counter("c", None, 1);
+        m.set_histogram("h", Some(1), hist(&[5]));
         let json = m.to_json();
-        assert_eq!(json.get("counters").unwrap().get("c").unwrap().as_u64(), Some(1));
+        let c = json.get("counters").unwrap().get("c").unwrap();
+        assert_eq!(c.as_u64(), Some(1));
         let h = json.get("histograms").unwrap().get("h[t1]").unwrap();
         assert_eq!(h.get("count").unwrap().as_u64(), Some(1));
-        assert_eq!(
-            json.get("series").unwrap().get("s").unwrap().as_array().unwrap().len(),
-            1
-        );
+        assert!(json.get("series").is_none());
     }
 }

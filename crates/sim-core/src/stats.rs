@@ -1,121 +1,6 @@
 //! Statistics primitives used across the simulator and the evaluation
-//! harness: counters, running means, histograms, and the geometric /
-//! arithmetic means the paper reports.
-
-use std::fmt;
-
-/// A saturating event counter.
-///
-/// # Examples
-///
-/// ```
-/// use walksteal_sim_core::Counter;
-///
-/// let mut hits = Counter::new();
-/// hits.add(3);
-/// hits.incr();
-/// assert_eq!(hits.count(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Counter {
-    count: u64,
-}
-
-impl Counter {
-    /// Creates a counter at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds `n` to the counter (saturating).
-    pub fn add(&mut self, n: u64) {
-        self.count = self.count.saturating_add(n);
-    }
-
-    /// Adds one to the counter.
-    pub fn incr(&mut self) {
-        self.add(1);
-    }
-
-    /// The current count.
-    #[must_use]
-    pub fn count(self) -> u64 {
-        self.count
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.count = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.count)
-    }
-}
-
-/// Incrementally computed arithmetic mean over `f64` samples.
-///
-/// # Examples
-///
-/// ```
-/// use walksteal_sim_core::RunningMean;
-///
-/// let mut m = RunningMean::new();
-/// m.push(1.0);
-/// m.push(3.0);
-/// assert_eq!(m.mean(), 2.0);
-/// assert_eq!(m.len(), 2);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RunningMean {
-    sum: f64,
-    n: u64,
-}
-
-impl RunningMean {
-    /// Creates an empty running mean.
-    #[must_use]
-    pub fn new() -> Self {
-        RunningMean::default()
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, sample: f64) {
-        self.sum += sample;
-        self.n += 1;
-    }
-
-    /// The arithmetic mean of all samples, or 0.0 if none were pushed.
-    #[must_use]
-    pub fn mean(self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
-    }
-
-    /// The sum of all samples.
-    #[must_use]
-    pub fn sum(self) -> f64 {
-        self.sum
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn len(self) -> u64 {
-        self.n
-    }
-
-    /// Whether no samples have been pushed.
-    #[must_use]
-    pub fn is_empty(self) -> bool {
-        self.n == 0
-    }
-}
+//! harness: histograms and the geometric / arithmetic means the paper
+//! reports.
 
 /// A fixed-bucket histogram of integer samples (e.g., queue depths or
 /// latencies). The final bucket is an overflow bucket.
@@ -277,42 +162,6 @@ pub fn amean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        assert_eq!(c.count(), 0);
-        c.incr();
-        c.add(9);
-        assert_eq!(c.count(), 10);
-        c.reset();
-        assert_eq!(c.count(), 0);
-    }
-
-    #[test]
-    fn counter_saturates() {
-        let mut c = Counter::new();
-        c.add(u64::MAX);
-        c.add(5);
-        assert_eq!(c.count(), u64::MAX);
-    }
-
-    #[test]
-    fn running_mean_empty_is_zero() {
-        assert_eq!(RunningMean::new().mean(), 0.0);
-        assert!(RunningMean::new().is_empty());
-    }
-
-    #[test]
-    fn running_mean_accumulates() {
-        let mut m = RunningMean::new();
-        for i in 1..=10 {
-            m.push(i as f64);
-        }
-        assert_eq!(m.mean(), 5.5);
-        assert_eq!(m.sum(), 55.0);
-        assert_eq!(m.len(), 10);
-    }
 
     #[test]
     fn histogram_bucketing() {

@@ -1,11 +1,12 @@
 //! Walk-lifecycle tracing: typed events, filters, and pluggable sinks.
 //!
 //! The simulator's hot paths report what they are doing through an
-//! [`Observer`] — a bundle of an optional [`Tracer`] sink and an optional
-//! [`crate::metrics::MetricsRegistry`]. Both default to *off*, in which case
-//! every instrumentation site reduces to a single branch on a `None`
-//! discriminant: no event is constructed, nothing allocates, and simulation
-//! output is bit-identical to an uninstrumented build.
+//! [`Observer`], which holds an optional [`Tracer`] sink. It defaults to
+//! *off*, in which case every instrumentation site reduces to a single
+//! branch on a `None` discriminant: no event is constructed, nothing
+//! allocates, and simulation output is bit-identical to an uninstrumented
+//! build. Counters are not the tracer's job: each layer keeps its own, and
+//! a run exports them once, at its end (see [`crate::metrics`]).
 //!
 //! Events are typed ([`TraceEvent`]) and serialize to one JSON object per
 //! line (JSONL) via [`TraceEvent::to_json`] / [`TraceEvent::from_json`], so a
@@ -35,7 +36,6 @@ use std::rc::Rc;
 use std::str::FromStr;
 
 use crate::json::Json;
-use crate::metrics::SharedMetrics;
 
 /// Category of a [`TraceEvent`], used for filtering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -831,21 +831,19 @@ impl Tracer for RingTracer {
     }
 }
 
-/// The observability bundle threaded through the simulator: an optional
-/// [`Tracer`] and an optional [`SharedMetrics`] registry handle.
+/// The trace sink threaded through the simulator.
 ///
-/// With both off (the default), every instrumentation site is a branch on a
-/// `None` — no event construction, no allocation, bit-identical output.
+/// With no tracer attached (the default), every instrumentation site is a
+/// branch on a `None` — no event construction, no allocation, bit-identical
+/// output.
 #[derive(Default)]
 pub struct Observer {
     /// The attached trace sink, if any.
     pub tracer: Option<Box<dyn Tracer>>,
-    /// The attached metrics registry handle, if any.
-    pub metrics: Option<SharedMetrics>,
 }
 
 impl Observer {
-    /// An observer with tracing and metrics off.
+    /// An observer with tracing off.
     #[must_use]
     pub fn off() -> Self {
         Observer::default()
@@ -856,14 +854,13 @@ impl Observer {
     pub fn with_tracer(tracer: Box<dyn Tracer>) -> Self {
         Observer {
             tracer: Some(tracer),
-            metrics: None,
         }
     }
 
-    /// Whether both tracing and metrics are off.
+    /// Whether tracing is off.
     #[must_use]
     pub fn is_off(&self) -> bool {
-        self.tracer.is_none() && self.metrics.is_none()
+        self.tracer.is_none()
     }
 
     /// Records the event built by `f` if a tracer is attached and wants
@@ -879,12 +876,6 @@ impl Observer {
         }
     }
 
-    /// The metrics handle, when metrics collection is on.
-    #[inline]
-    pub fn metrics(&self) -> Option<&SharedMetrics> {
-        self.metrics.as_ref()
-    }
-
     /// Flushes the attached tracer, if any.
     pub fn flush(&mut self) {
         if let Some(t) = self.tracer.as_mut() {
@@ -897,7 +888,6 @@ impl fmt::Debug for Observer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Observer")
             .field("tracer", &self.tracer.is_some())
-            .field("metrics", &self.metrics.is_some())
             .finish()
     }
 }

@@ -94,8 +94,6 @@ pub struct PwCache {
     /// unique per key (fills refresh in place), so the map answers the same
     /// entry a linear first-match scan would.
     index: FnvMap<u64, u32>,
-    hits: u64,
-    misses: u64,
 }
 
 impl PwCache {
@@ -121,8 +119,6 @@ impl PwCache {
             lru_tail: capacity as u32 - 1,
             live: vec![0; (usize::from(u8::MAX) + 1) * MAX_LEVELS],
             index: FnvMap::default(),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -170,14 +166,12 @@ impl PwCache {
             let want = pack_meta(tenant, level);
             if let Some(&i) = self.index.get(&index_key(want, prefix)) {
                 self.lru_touch(i);
-                self.hits += 1;
                 return Some(PwcHit {
                     level,
                     node_addr: self.node_addrs[i as usize],
                 });
             }
         }
-        self.misses += 1;
         None
     }
 
@@ -218,18 +212,6 @@ impl PwCache {
         }
     }
 
-    /// Probe hits since construction.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Probe misses (no prefix at all) since construction.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
     /// Number of valid entries.
     #[must_use]
     pub fn occupancy(&self) -> usize {
@@ -248,7 +230,7 @@ mod tests {
     fn cold_probe_misses() {
         let mut pwc = PwCache::new(8);
         assert!(pwc.probe(T0, Vpn(0), 4).is_none());
-        assert_eq!(pwc.misses(), 1);
+        assert_eq!(pwc.occupancy(), 0, "a probe never fills");
     }
 
     #[test]

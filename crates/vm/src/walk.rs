@@ -39,7 +39,7 @@ use std::collections::VecDeque;
 
 use walksteal_mem::{Access, AccessKind, MemSystem};
 use walksteal_sim_core::trace::{Observer, TraceEvent, TraceKind};
-use walksteal_sim_core::{Cycle, LineAddr, Ppn, TenantId, Vpn, WalkerId};
+use walksteal_sim_core::{Cycle, Histogram, LineAddr, Ppn, TenantId, Vpn, WalkerId};
 
 use crate::frame::FrameAlloc;
 use crate::mask::MaskState;
@@ -246,7 +246,7 @@ pub struct WalkRequest {
 /// Mutable context the subsystem needs while dispatching walks: the page
 /// tables to walk, the frame allocator backing first-touch allocation, the
 /// memory system timing page-table accesses, (optionally) MASK state
-/// controlling PTE cache bypass, and the observability sinks.
+/// controlling PTE cache bypass, and the trace sink.
 pub struct WalkContext<'a> {
     /// Per-tenant page tables, indexed by tenant id.
     pub page_tables: &'a mut [PageTable],
@@ -256,12 +256,16 @@ pub struct WalkContext<'a> {
     pub mem: &'a mut MemSystem,
     /// MASK token state, when the MASK comparison policy is active.
     pub mask: Option<&'a MaskState>,
-    /// Trace/metrics sinks; [`Observer::off`] when observability is off.
+    /// Trace sink; [`Observer::off`] when tracing is off.
     pub obs: &'a mut Observer,
 }
 
-/// Per-tenant statistics exported by the subsystem.
-#[derive(Debug, Clone, Default)]
+/// Shape of [`WalkStats::latency`]: bucket count and width in cycles.
+const LATENCY_BUCKETS: usize = 128;
+const LATENCY_BUCKET_CYCLES: u64 = 32;
+
+/// Statistics exported by the subsystem, per tenant unless noted.
+#[derive(Debug, Clone)]
 pub struct WalkStats {
     /// Walks accepted into the subsystem.
     pub enqueued: Vec<u64>,
@@ -271,6 +275,10 @@ pub struct WalkStats {
     pub stolen: Vec<u64>,
     /// Sum over completed walks of (completion - arrival).
     pub total_latency: Vec<u64>,
+    /// Histogram over completed walks of (completion - arrival), 128
+    /// buckets of 32 cycles plus the overflow bucket; the QoS controller
+    /// reads its p99.
+    pub latency: Vec<Histogram>,
     /// Sum over dispatched walks of (dispatch - arrival).
     pub total_queue_wait: Vec<u64>,
     /// Sum over dispatched walks of the number of *other-tenant* walks
@@ -282,6 +290,13 @@ pub struct WalkStats {
     /// [`WalkSubsystem::cancel_tenant`] (tenant departure). Conservation
     /// under churn is `enqueued == completed + cancelled + pending`.
     pub cancelled: Vec<u64>,
+    /// Walks dispatched onto a foreign-owned walker, over all tenants. A
+    /// steal counts at dispatch; [`stolen`](Self::stolen) counts it again
+    /// at completion.
+    pub steals: u64,
+    /// Times an idle walker looked for a foreign walk to steal, over all
+    /// tenants (a steal follows only when a victim is eligible).
+    pub steal_attempts: u64,
 }
 
 impl WalkStats {
@@ -291,10 +306,13 @@ impl WalkStats {
             completed: vec![0; n],
             stolen: vec![0; n],
             total_latency: vec![0; n],
+            latency: vec![Histogram::new(LATENCY_BUCKETS, LATENCY_BUCKET_CYCLES); n],
             total_queue_wait: vec![0; n],
             total_interleave: vec![0; n],
             rejected: vec![0; n],
             cancelled: vec![0; n],
+            steals: 0,
+            steal_attempts: 0,
         }
     }
 
@@ -1576,9 +1594,7 @@ impl WalkSubsystem {
                 tenant: t.0,
                 vpn: req.vpn.0,
             });
-            if let Some(m) = ctx.obs.metrics() {
-                m.inc("steal_success", None);
-            }
+            self.stats.steals += 1;
         }
 
         let levels = ctx.page_tables[t.index()].page_size().levels();
@@ -1755,9 +1771,6 @@ impl WalkSubsystem {
                         enq_epoch: r.enq_epoch.clone(),
                         diff_thres: r.diff_thres,
                     });
-                    if let Some(m) = ctx.obs.metrics() {
-                        m.inc("epoch_rollovers", None);
-                    }
                 }
 
                 // An idle owned walker picks the work up immediately. Under
@@ -1777,9 +1790,7 @@ impl WalkSubsystem {
                 // walk completion.
                 if !matches!(p.steal(), StealMode::None) {
                     if let Some(wf) = p.first_foreign_idle(req.tenant, self.idle_mask) {
-                        if let Some(m) = ctx.obs.metrics() {
-                            m.inc("steal_attempts", None);
-                        }
+                        self.stats.steal_attempts += 1;
                         let strict = self.cfg.strict_pend_check;
                         if let Some(victim_walker) =
                             p.steal_choice(wf, strict, self.cfg.queue_entries)
@@ -1821,14 +1832,16 @@ impl WalkSubsystem {
         if inflight.stolen {
             self.stats.stolen[t.index()] += 1;
         }
-        self.stats.total_latency[t.index()] += now.saturating_since(inflight.req.arrival);
+        let latency = now.saturating_since(inflight.req.arrival);
+        self.stats.total_latency[t.index()] += latency;
+        self.stats.latency[t.index()].record(latency);
 
         let completed = CompletedWalk {
             tenant: t,
             vpn: inflight.req.vpn,
             ppn: inflight.ppn,
             stolen: inflight.stolen,
-            latency: now.saturating_since(inflight.req.arrival),
+            latency,
         };
         ctx.obs.trace(TraceKind::Walk, || TraceEvent::WalkComplete {
             cycle: now.0,
@@ -1838,13 +1851,6 @@ impl WalkSubsystem {
             stolen: completed.stolen,
             latency: completed.latency,
         });
-        if let Some(m) = ctx.obs.metrics() {
-            m.observe("walk_latency", Some(t.0), completed.latency);
-            m.inc("walks_completed", Some(t.0));
-            if completed.stolen {
-                m.inc("walks_stolen", Some(t.0));
-            }
-        }
 
         // Per-policy: pick the next request for this walker.
         let pool_owner = self.owner_of(w);
@@ -1861,9 +1867,7 @@ impl WalkSubsystem {
                 let (next, attempted_steal) =
                     p.next_service(w, self.cfg.strict_pend_check, self.cfg.queue_entries);
                 if attempted_steal {
-                    if let Some(m) = ctx.obs.metrics() {
-                        m.inc("steal_attempts", None);
-                    }
+                    self.stats.steal_attempts += 1;
                 }
                 next.map(|(from, stolen)| (p.pop_from_walker(from), stolen))
             }
@@ -1914,12 +1918,6 @@ impl WalkSubsystem {
         } else {
             integral / denom
         }
-    }
-
-    /// The page-walk cache, for inspection.
-    #[must_use]
-    pub fn pwc(&self) -> &PwCache {
-        &self.pwc
     }
 
     /// The subsystem configuration.

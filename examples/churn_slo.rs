@@ -4,9 +4,9 @@
 //! run for a while, and leave, and the operator promises each a walk-
 //! latency SLO. This example scripts such a timeline with the scenario
 //! DSL: MM is resident from cycle 0 with a p99 walk-latency target, GUPS
-//! arrives later as a noisy neighbor, and the QoS controller samples the
-//! metrics registry, throttles the aggressor when MM's target is violated,
-//! and evicts it if the violations persist.
+//! arrives later as a noisy neighbor, and the QoS controller samples MM's
+//! walk-latency histogram, throttles the aggressor when MM's target is
+//! violated, and evicts it if the violations persist.
 //!
 //! ```text
 //! cargo run --release --example churn_slo

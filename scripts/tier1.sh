@@ -9,6 +9,10 @@ cd "$(dirname "$0")/.."
 echo "== build (release, warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo build --release --workspace
 
+echo "== rustdoc (warnings are errors) =="
+# Broken intra-doc links fail here, not only in CI.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "== tests (workspace) =="
 cargo test -q --workspace
 
@@ -91,6 +95,17 @@ EOF
 ./target/release/repro --quick --scenario "$SMOKE/scenario.json" > "$SMOKE/scenario.txt"
 grep -q "tenant 0 (GUPS)" "$SMOKE/scenario.txt"
 grep -q "evictions" "$SMOKE/scenario.txt"
+# A zero SLO check interval would reschedule the check at the same cycle
+# forever; --scenario must reject it with exit 1 instead of hanging.
+sed 's/"check_interval": 5000/"check_interval": 0/' "$SMOKE/scenario.json" > "$SMOKE/zero.json"
+grep -q '"check_interval": 0' "$SMOKE/zero.json"
+rc=0
+timeout 60 ./target/release/repro --quick --scenario "$SMOKE/zero.json" > /dev/null 2> "$SMOKE/zero.err" || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "churn smoke: a zero check_interval should exit 1, got $rc" >&2
+  exit 1
+fi
+grep -q "check_interval" "$SMOKE/zero.err"
 
 echo "== arena smoke =="
 # The policy arena end-to-end: the quick-field leaderboard ranks every

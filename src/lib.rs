@@ -65,7 +65,8 @@
 //!     .metrics(metrics.clone())
 //!     .build()
 //!     .run();
-//! // Every completed walk left a trace event and a latency observation.
+//! // Every completed walk left a trace event, and the run exported its
+//! // final counters into the handle when it ended.
 //! let walks: u64 = metrics.counter("walks_completed", Some(0))
 //!     + metrics.counter("walks_completed", Some(1));
 //! assert!(walks > 0 && !trace.events().is_empty());

@@ -1,13 +1,16 @@
 //! End-to-end guarantees of the observability layer:
 //!
 //! * attaching tracers/metrics never perturbs simulation results — the
-//!   `SimResult` JSON is byte-identical with observability on and off;
+//!   `SimResult` JSON is byte-identical with observability on and off, and
+//!   a metrics handle filled by an earlier run changes nothing either;
 //! * a JSONL trace is a faithful record — replaying it reconstructs the
 //!   simulator's own per-tenant statistics bit-for-bit;
 //! * a static tenant list and its degenerate scenario run identically; and
 //! * the CLI surface (`PolicyPreset`, `TraceFilter`) round-trips.
 
-use walksteal::experiments::{parse_trace, replay};
+use walksteal::experiments::{
+    parse_trace, replay, scenario_from_plan, ChurnKind, ExpContext, Scale, Store,
+};
 use walksteal::prelude::*;
 
 /// A small-but-nontrivial two-tenant run: page-walk-heavy GUPS against a
@@ -24,7 +27,7 @@ fn builder() -> SimulationBuilder {
 
 /// Observability must be invisible to the simulation: the frozen
 /// `SimResult` JSON with a tracer and a metrics registry attached is
-/// byte-identical to a bare run.
+/// byte-identical to a bare run, and the registry holds the run's counters.
 #[test]
 fn tracing_does_not_perturb_results() {
     let bare = builder().build().run().to_json().dump();
@@ -97,6 +100,55 @@ fn jsonl_trace_replays_to_simulator_stats() {
         stolen_total,
         "steal_success counter diverges from the trace"
     );
+}
+
+/// The SLO controller acts on walk latencies, and the metrics registry
+/// exports them, but the run never reads the registry: an SLO scenario
+/// gives byte-identical results with no handle, a fresh handle, and a
+/// handle already filled by an earlier run. The reused handle then holds
+/// the last run's counters, not a sum over both runs.
+///
+/// The timeline starves one tenant, so uncapped it runs to the 200M-cycle
+/// limit; the first million cycles hold 200 SLO check rounds.
+#[test]
+fn reused_metrics_handle_never_changes_an_slo_run() {
+    let ctx = ExpContext::new(Scale::Quick, Store::in_memory());
+    let plan = ChurnKind::Heavy.process().generate(1);
+    let spec = scenario_from_plan(&plan, Some(ChurnKind::Heavy.slo()));
+    let mut cfg = ctx.tenant_config(plan.n_tenants(), PolicyPreset::DwsPlusPlus);
+    cfg.max_cycles = 1_000_000;
+    let run = |metrics: Option<&SharedMetrics>| {
+        let mut b = SimulationBuilder::new()
+            .config(cfg.clone())
+            .seed(1)
+            .scenario(spec.clone());
+        if let Some(m) = metrics {
+            b = b.metrics(m.clone());
+        }
+        b.build().run()
+    };
+
+    let bare = run(None);
+    let churn = bare.churn.as_ref().expect("scenario runs report churn");
+    assert!(
+        churn.tenants.iter().any(|t| t.slo_checks > 0),
+        "the SLO controller never judged a tenant"
+    );
+    let bare = bare.to_json().dump();
+    let fresh = SharedMetrics::new();
+    assert_eq!(bare, run(Some(&fresh)).to_json().dump(), "a fresh handle");
+    let reused = SharedMetrics::new();
+    run(Some(&reused));
+    assert_eq!(bare, run(Some(&reused)).to_json().dump(), "a reused handle");
+
+    let mut walks = 0;
+    for t in 0..plan.n_tenants() as u8 {
+        let last = fresh.counter("walks_completed", Some(t));
+        let reused_walks = reused.counter("walks_completed", Some(t));
+        assert_eq!(reused_walks, last, "tenant {t}");
+        walks += last;
+    }
+    assert!(walks > 0, "no walk completed");
 }
 
 /// A static tenant list is the degenerate scenario: routing the same
