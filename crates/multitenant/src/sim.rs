@@ -44,9 +44,10 @@ fn next_wall_boundary(count: u64) -> u64 {
 
 /// Discrete events driving the simulation.
 ///
-/// The payload is deliberately narrow (`u16` indices, `u8` walker id) so an
-/// event plus its timestamp stays within one cache line slot in the
-/// calendar queue; the hot loop moves millions of these per second.
+/// The payload is deliberately narrow (`u16` indices, `u8` walker id): the
+/// calendar queue stores bare payloads (a bucket's cycle is implicit), so
+/// eight bytes per event keep its buckets and the batch buffer dense; the
+/// hot loop moves millions of these per second.
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// The warp begins its next operation (compute burst + memory op).

@@ -11,10 +11,10 @@
 //! events are overwhelmingly near-future (compute bursts, cache and DRAM
 //! latencies — all far shorter than the window), so push and pop are
 //! amortized O(1) instead of the O(log n) a heap pays per memory op.
-//! [`BinaryHeapQueue`] is the previous heap-based implementation, kept as
-//! the calendar queue's differential-testing oracle.
+//! The previous heap-based implementation, `BinaryHeapQueue`, survives in
+//! this module's tests as the calendar queue's differential oracle.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use crate::ids::Cycle;
@@ -75,8 +75,10 @@ impl<T> Ord for FarEntry<T> {
 /// ```
 pub struct EventQueue<T> {
     /// Ring of FIFO buckets; bucket `c & (BUCKETS-1)` holds the events of
-    /// cycle `c` for `c` in the window `[cursor, cursor + BUCKETS)`.
-    buckets: Box<[VecDeque<T>]>,
+    /// cycle `c` for `c` in the window `[cursor, cursor + BUCKETS)`, in
+    /// insertion order. The simulator drains a bucket whole, by swapping its
+    /// storage with the batch buffer; only `pop` takes events off the front.
+    buckets: Box<[Vec<T>]>,
     /// Occupancy bitmap: bit `b` of `occ[b / 64]` is set iff bucket `b` is
     /// non-empty. At typical simulation densities (< 1 event per cycle) the
     /// pop path would otherwise touch several empty buckets per event; the
@@ -103,7 +105,7 @@ impl<T> EventQueue<T> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..BUCKETS).map(|_| VecDeque::new()).collect(),
+            buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
             occ: [0; BUCKETS / 64],
             occ_summary: 0,
             in_ring: 0,
@@ -167,7 +169,7 @@ impl<T> EventQueue<T> {
         let c = at.0;
         if c >= self.cursor && c - self.cursor < BUCKETS as u64 {
             let b = (c as usize) & (BUCKETS - 1);
-            self.buckets[b].push_back(payload);
+            self.buckets[b].push(payload);
             self.set_bit(b);
             self.in_ring += 1;
         } else {
@@ -186,6 +188,10 @@ impl<T> EventQueue<T> {
     /// Within a tied cycle heap entries come first: an event lands in the
     /// heap only while its cycle is outside the window, which rules out any
     /// in-window push at that cycle having come earlier.
+    ///
+    /// A ring pop shifts the rest of its bucket down, so it costs the
+    /// number of events still due that cycle; the simulator drains whole
+    /// cycles through [`drain_cycle_into`](Self::drain_cycle_into) instead.
     pub fn pop(&mut self) -> Option<(Cycle, T)> {
         let at = self.next_cycle()?;
         let c = at.0;
@@ -204,7 +210,7 @@ impl<T> EventQueue<T> {
         self.cursor = c;
         let b = (c as usize) & (BUCKETS - 1);
         let bucket = &mut self.buckets[b];
-        let payload = bucket.pop_front()?;
+        let payload = bucket.remove(0);
         self.in_ring -= 1;
         if bucket.is_empty() {
             self.clear_bit(b);
@@ -222,6 +228,13 @@ impl<T> EventQueue<T> {
     /// cycle while the caller processes the batch land in the (now empty)
     /// bucket and come back from the next call, exactly as `pop` would
     /// interleave them.
+    ///
+    /// When `buf` is empty and the cycle has no heap entries, the bucket's
+    /// storage is swapped into `buf` and `buf`'s empty storage becomes the
+    /// bucket, so no event is copied. A caller that clears `buf`
+    /// between calls keeps the ring's buffers circulating; a non-empty
+    /// `buf` keeps its contents, and the cycle's events are appended
+    /// behind them.
     pub fn drain_cycle_into(&mut self, buf: &mut Vec<T>) -> Option<Cycle> {
         let at = self.next_cycle()?;
         let c = at.0;
@@ -240,7 +253,11 @@ impl<T> EventQueue<T> {
         let n = bucket.len();
         if n > 0 {
             self.in_ring -= n;
-            buf.extend(bucket.drain(..));
+            if buf.is_empty() {
+                std::mem::swap(buf, bucket);
+            } else {
+                buf.append(bucket);
+            }
             self.clear_bit(b);
         }
         Some(at)
@@ -289,79 +306,48 @@ impl<T> fmt::Debug for EventQueue<T> {
     }
 }
 
-/// The previous `BinaryHeap`-based event queue.
-///
-/// Functionally identical to [`EventQueue`] (same total order: cycle, then
-/// insertion). Retained only as the reference model for the calendar
-/// queue's differential tests.
-pub struct BinaryHeapQueue<T> {
-    heap: BinaryHeap<FarEntry<T>>,
-    next_seq: u64,
-}
-
-impl<T> BinaryHeapQueue<T> {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Schedules `payload` at cycle `at`.
-    pub fn push(&mut self, at: Cycle, payload: T) {
-        self.heap.push(FarEntry {
-            at,
-            seq: self.next_seq,
-            payload,
-        });
-        self.next_seq += 1;
-    }
-
-    /// Removes and returns the earliest event (FIFO within a cycle).
-    pub fn pop(&mut self) -> Option<(Cycle, T)> {
-        self.heap.pop().map(|e| (e.at, e.payload))
-    }
-
-    /// The cycle of the earliest pending event.
-    #[must_use]
-    pub fn next_cycle(&self) -> Option<Cycle> {
-        self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<T> Default for BinaryHeapQueue<T> {
-    fn default() -> Self {
-        BinaryHeapQueue::new()
-    }
-}
-
-impl<T> fmt::Debug for BinaryHeapQueue<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BinaryHeapQueue")
-            .field("pending", &self.len())
-            .field("next_cycle", &self.next_cycle())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SimRng;
+
+    /// The previous heap-based event queue: the same total order as
+    /// [`EventQueue`] (cycle, then insertion), kept as the calendar queue's
+    /// reference model.
+    struct BinaryHeapQueue<T> {
+        heap: BinaryHeap<FarEntry<T>>,
+        next_seq: u64,
+    }
+
+    impl<T> BinaryHeapQueue<T> {
+        fn new() -> Self {
+            BinaryHeapQueue {
+                heap: BinaryHeap::new(),
+                next_seq: 0,
+            }
+        }
+
+        fn push(&mut self, at: Cycle, payload: T) {
+            self.heap.push(FarEntry {
+                at,
+                seq: self.next_seq,
+                payload,
+            });
+            self.next_seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(Cycle, T)> {
+            self.heap.pop().map(|e| (e.at, e.payload))
+        }
+
+        fn next_cycle(&self) -> Option<Cycle> {
+            self.heap.peek().map(|e| e.at)
+        }
+
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
 
     #[test]
     fn orders_by_cycle() {
@@ -432,8 +418,6 @@ mod tests {
         let dbg = format!("{q:?}");
         assert!(dbg.contains("pending"), "{dbg}");
         assert!(dbg.contains('5'), "{dbg}");
-        let hq = BinaryHeapQueue::<u8>::new();
-        assert!(format!("{hq:?}").contains("pending"));
     }
 
     #[test]
@@ -595,7 +579,9 @@ mod tests {
     }
 
     /// Random pushes and cycle drains against the reference model popped
-    /// one event at a time.
+    /// one event at a time. About a quarter of the drains keep the previous
+    /// batches in `buf` (the append path); `buf` must then hold every event
+    /// drained since it was last cleared, in reference order.
     fn differential_drain_run(seed: u64, ops: usize, horizon: u64) {
         let mut rng = SimRng::new(seed);
         let mut calendar = EventQueue::new();
@@ -603,6 +589,8 @@ mod tests {
         let mut now = 0u64;
         let mut next_id = 0u64;
         let mut buf = Vec::new();
+        let mut want = Vec::new();
+        let mut appends = 0;
         for _ in 0..ops {
             if rng.chance(0.7) || calendar.is_empty() {
                 let at = Cycle(now + rng.next_below(horizon));
@@ -610,18 +598,27 @@ mod tests {
                 reference.push(at, next_id);
                 next_id += 1;
             } else {
-                buf.clear();
+                if rng.chance(0.25) && !buf.is_empty() {
+                    appends += 1;
+                } else {
+                    buf.clear();
+                    want.clear();
+                }
                 let at = calendar.drain_cycle_into(&mut buf).expect("non-empty");
                 now = at.0;
-                for &got in &buf {
-                    let (rat, want) = reference.pop().expect("reference non-empty");
-                    assert_eq!((at, got), (rat, want));
+                assert!(buf.len() > want.len(), "drained an empty cycle");
+                while want.len() < buf.len() {
+                    let (rat, id) = reference.pop().expect("reference non-empty");
+                    assert_eq!(rat, at);
+                    want.push(id);
                 }
+                assert_eq!(buf, want);
                 assert_eq!(calendar.len(), reference.len());
                 // The drain must have taken the whole cycle.
                 assert_ne!(calendar.next_cycle(), Some(at));
             }
         }
+        assert!(appends > 0, "no drain took the append path");
     }
 
     #[test]

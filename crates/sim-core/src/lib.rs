@@ -51,7 +51,7 @@ pub mod stats;
 pub mod trace;
 
 pub use error::{BudgetKind, ConfigError, RunBudget, RunDiag, SimError};
-pub use event::{BinaryHeapQueue, EventQueue};
+pub use event::EventQueue;
 pub use hash::{FnvBuildHasher, FnvHasher, FnvMap};
 pub use ids::{Cycle, LineAddr, PhysAddr, Ppn, SmId, TenantId, VirtAddr, Vpn, WalkerId, WarpId};
 pub use json::Json;

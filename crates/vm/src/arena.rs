@@ -395,15 +395,16 @@ impl SubEntryTlb {
     }
 }
 
-/// One coalesced range in the fully-associative large-page array.
+/// One coalesced range in the fully-associative large-page array, keyed
+/// by `tenant_key(tenant, group)`.
 #[derive(Debug, Clone, Copy)]
 struct LargeEntry {
-    tenant: TenantId,
-    /// `vpn >> 3`: the aligned [`MOSAIC_GROUP`]-page group.
-    group: u64,
     /// Frame of the group's first base page; page `i` of the group lives at
     /// `base + i * granules` thanks to the reservation allocator.
     base: Ppn,
+    /// Tick of the last probe or fill that touched the range. Each tick
+    /// stamps at most one entry, so stamps are unique and the LRU victim
+    /// never depends on map order.
     last_use: u64,
 }
 
@@ -414,9 +415,20 @@ fn tenant_key(tenant: TenantId, v: u64) -> u64 {
     (u64::from(tenant.0) << 56) | v
 }
 
+/// Splits a [`tenant_key`] back into its tenant and vpn/group.
+#[inline]
+fn split_key(key: u64) -> (TenantId, u64) {
+    (TenantId((key >> 56) as u8), key & ((1 << 56) - 1))
+}
+
 /// A multi-page-size L2 TLB path: 4 KB base entries in a standard [`Tlb`]
 /// plus a fully-associative array of transparently coalesced
 /// [`MOSAIC_GROUP`]-page ranges.
+///
+/// The large array holds up to [`MOSAIC_LARGE_ENTRIES`] ranges. Being fully
+/// associative, it is looked up by content, which the model does with one
+/// keyed lookup in a map from `(tenant, group)` to the range; replacement
+/// is LRU over the ranges' last-use stamps.
 ///
 /// A directory counts distinct base-page fills per aligned group; at
 /// [`MOSAIC_COALESCE_THRESHOLD`] fills the group coalesces into one large
@@ -429,7 +441,8 @@ fn tenant_key(tenant: TenantId, v: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct MosaicTlb {
     base: Tlb,
-    large: Vec<Option<LargeEntry>>,
+    /// The large-page array, at most [`MOSAIC_LARGE_ENTRIES`] ranges.
+    large: FnvMap<u64, LargeEntry>,
     /// Distinct-fill popmask per `(tenant, group)` not yet coalesced.
     dir: FnvMap<u64, u8>,
     /// 4 KB frames per base page (1 for 4 KB pages).
@@ -447,7 +460,7 @@ impl MosaicTlb {
     pub fn new(cfg: TlbConfig, n_tenants: usize, page_size: PageSize) -> Self {
         MosaicTlb {
             base: Tlb::new(cfg, n_tenants),
-            large: vec![None; MOSAIC_LARGE_ENTRIES],
+            large: FnvMap::with_capacity_and_hasher(MOSAIC_LARGE_ENTRIES, Default::default()),
             dir: FnvMap::default(),
             granules: page_size.bytes() / 4096,
             tick: 0,
@@ -457,18 +470,11 @@ impl MosaicTlb {
         }
     }
 
-    fn find_large(&self, tenant: TenantId, group: u64) -> Option<usize> {
-        self.large.iter().position(|slot| {
-            matches!(slot, Some(e) if e.tenant == tenant && e.group == group)
-        })
-    }
-
     /// Looks up `(tenant, vpn)`: the large array first, then base entries.
     pub fn probe(&mut self, tenant: TenantId, vpn: Vpn) -> Option<Ppn> {
         self.tick += 1;
         let group = vpn.0 / MOSAIC_GROUP;
-        if let Some(i) = self.find_large(tenant, group) {
-            let e = self.large[i].as_mut().expect("found slot is occupied");
+        if let Some(e) = self.large.get_mut(&tenant_key(tenant, group)) {
             e.last_use = self.tick;
             self.large_hits += 1;
             let offset = vpn.0 % MOSAIC_GROUP;
@@ -482,12 +488,12 @@ impl MosaicTlb {
     pub fn fill(&mut self, tenant: TenantId, vpn: Vpn, ppn: Ppn, now: Cycle) {
         self.tick += 1;
         let group = vpn.0 / MOSAIC_GROUP;
-        if let Some(i) = self.find_large(tenant, group) {
+        let key = tenant_key(tenant, group);
+        if let Some(e) = self.large.get_mut(&key) {
             // Already coalesced: the range covers this page.
-            self.large[i].as_mut().expect("occupied").last_use = self.tick;
+            e.last_use = self.tick;
             return;
         }
-        let key = tenant_key(tenant, group);
         let mask = self.dir.entry(key).or_insert(0);
         *mask |= 1 << (vpn.0 % MOSAIC_GROUP);
         if u32::from(mask.count_ones()) < MOSAIC_COALESCE_THRESHOLD.min(MOSAIC_GROUP as u32) {
@@ -498,27 +504,22 @@ impl MosaicTlb {
         // at `base + i * granules`, so the triggering fill pins the base.
         self.dir.remove(&key);
         let base = Ppn(ppn.0 - (vpn.0 % MOSAIC_GROUP) * self.granules);
-        let slot = match self.large.iter().position(Option::is_none) {
-            Some(i) => i,
-            None => {
-                let i = self
-                    .large
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, e)| e.as_ref().expect("full array").last_use)
-                    .map(|(i, _)| i)
-                    .expect("large array is non-empty");
-                let victim = self.large[i].expect("full array");
-                self.splinter(victim, now);
-                i
-            }
-        };
-        self.large[slot] = Some(LargeEntry {
-            tenant,
-            group,
-            base,
-            last_use: self.tick,
-        });
+        if self.large.len() == MOSAIC_LARGE_ENTRIES {
+            let (&victim, _) = self
+                .large
+                .iter()
+                .min_by_key(|(_, e)| e.last_use)
+                .expect("a full large array is non-empty");
+            let evicted = self.large.remove(&victim).expect("victim is resident");
+            self.splinter(victim, evicted, now);
+        }
+        self.large.insert(
+            key,
+            LargeEntry {
+                base,
+                last_use: self.tick,
+            },
+        );
         self.coalesces += 1;
         // A translation is never mapped twice: drop the group's base
         // entries now that the large entry covers them.
@@ -528,12 +529,14 @@ impl MosaicTlb {
         }
     }
 
-    /// Re-fills every base translation of an evicted large entry.
-    fn splinter(&mut self, victim: LargeEntry, now: Cycle) {
+    /// Re-fills every base translation of the large entry evicted from
+    /// `key`.
+    fn splinter(&mut self, key: u64, victim: LargeEntry, now: Cycle) {
+        let (tenant, group) = split_key(key);
         for page in 0..MOSAIC_GROUP {
             self.base.fill(
-                victim.tenant,
-                Vpn(victim.group * MOSAIC_GROUP + page),
+                tenant,
+                Vpn(group * MOSAIC_GROUP + page),
                 Ppn(victim.base.0 + page * self.granules),
                 now,
             );
@@ -546,13 +549,10 @@ impl MosaicTlb {
     /// state. Returns how many base-page translations were dropped.
     pub fn invalidate_tenant(&mut self, tenant: TenantId, now: Cycle) -> usize {
         let mut dropped = self.base.invalidate_tenant(tenant, now);
-        for slot in &mut self.large {
-            if matches!(slot, Some(e) if e.tenant == tenant) {
-                *slot = None;
-                dropped += MOSAIC_GROUP as usize;
-            }
-        }
-        self.dir.retain(|&k, _| (k >> 56) as u8 != tenant.0);
+        let before = self.large.len();
+        self.large.retain(|&k, _| split_key(k).0 != tenant);
+        dropped += (before - self.large.len()) * MOSAIC_GROUP as usize;
+        self.dir.retain(|&k, _| split_key(k).0 != tenant);
         dropped
     }
 
@@ -593,24 +593,32 @@ impl MosaicTlb {
         self.large_hits
     }
 
-    /// Structural invariants: no base page covered by a live large entry is
-    /// also resident in the base TLB, and no directory popmask coexists
-    /// with a large entry for the same group.
+    /// Structural invariants: the large array holds at most
+    /// [`MOSAIC_LARGE_ENTRIES`] ranges, no base page covered by a live
+    /// large entry is also resident in the base TLB, and no directory
+    /// popmask coexists with a large entry for the same group.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for e in self.large.iter().flatten() {
+        if self.large.len() > MOSAIC_LARGE_ENTRIES {
+            return Err(format!(
+                "large array holds {} ranges, capacity {MOSAIC_LARGE_ENTRIES}",
+                self.large.len()
+            ));
+        }
+        for &key in self.large.keys() {
+            let (tenant, group) = split_key(key);
             for page in 0..MOSAIC_GROUP {
-                let vpn = Vpn(e.group * MOSAIC_GROUP + page);
-                if self.base.contains(e.tenant, vpn) {
+                let vpn = Vpn(group * MOSAIC_GROUP + page);
+                if self.base.contains(tenant, vpn) {
                     return Err(format!(
                         "tenant {} vpn {} mapped both coalesced and in the base TLB",
-                        e.tenant.0, vpn.0
+                        tenant.0, vpn.0
                     ));
                 }
             }
-            if self.dir.contains_key(&tenant_key(e.tenant, e.group)) {
+            if self.dir.contains_key(&key) {
                 return Err(format!(
-                    "tenant {} group {} has both a large entry and a directory mask",
-                    e.tenant.0, e.group
+                    "tenant {} group {group} has both a large entry and a directory mask",
+                    tenant.0
                 ));
             }
         }
@@ -1022,6 +1030,47 @@ mod tests {
                 "splintered page {page}"
             );
         }
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn mosaic_probe_hit_refreshes_lru_order() {
+        let mut t = mosaic();
+        for g in 0..MOSAIC_LARGE_ENTRIES as u64 {
+            coalesce_group(&mut t, T0, g, 1000 + g * MOSAIC_GROUP);
+        }
+        // Touch the oldest range; the next-oldest becomes the victim.
+        assert_eq!(t.probe(T0, Vpn(3)), Some(Ppn(1003)));
+        let g = MOSAIC_LARGE_ENTRIES as u64;
+        coalesce_group(&mut t, T0, g, 1000 + g * MOSAIC_GROUP);
+        assert_eq!(t.splinters(), 1);
+        let hits = t.large_hits();
+        assert_eq!(t.probe(T0, Vpn(0)), Some(Ppn(1000)));
+        assert_eq!(t.large_hits(), hits + 1, "group 0 is still coalesced");
+        let page = MOSAIC_GROUP + 5;
+        assert_eq!(t.probe(T0, Vpn(page)), Some(Ppn(1000 + page)));
+        assert_eq!(t.large_hits(), hits + 1, "group 1 was splintered");
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn mosaic_invalidate_tenant_frees_large_capacity() {
+        let mut t = mosaic();
+        let n = MOSAIC_LARGE_ENTRIES as u64;
+        for g in 0..n {
+            let tenant = if g % 2 == 0 { T0 } else { T1 };
+            coalesce_group(&mut t, tenant, g, 1000 + g * MOSAIC_GROUP);
+        }
+        t.invalidate_tenant(T1, Cycle(10));
+        t.check_invariants().unwrap();
+        // Tenant 1's ranges left half the array free: refilling it
+        // splinters nothing, and only the next coalesce evicts.
+        for g in n..n + n / 2 {
+            coalesce_group(&mut t, T0, g, 1000 + g * MOSAIC_GROUP);
+        }
+        assert_eq!(t.splinters(), 0);
+        coalesce_group(&mut t, T0, 2 * n, 5000);
+        assert_eq!(t.splinters(), 1);
         t.check_invariants().unwrap();
     }
 

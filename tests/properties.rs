@@ -832,8 +832,9 @@ fn arena_preset_walk_configs_hold_invariants() {
 /// page table — every hit, from a base entry or a coalesced large entry
 /// (including pages of the group the TLB never saw filled), returns
 /// exactly the frame the reservation allocator mapped. Coalescing and
-/// splintering both provably fire, and the no-double-mapping structural
-/// invariant holds after every operation.
+/// splintering both provably fire, and the structural invariants (no
+/// double mapping, a large array within capacity) hold after every
+/// operation.
 #[test]
 fn mosaic_tlb_agrees_with_reserved_page_table() {
     use walksteal::vm::{MosaicTlb, MOSAIC_GROUP};
