@@ -266,13 +266,17 @@ impl FuzzScenario {
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] when the scenario's knobs cannot
-    /// host its tenant count (possible only for hand-edited repro files —
-    /// the generator and shrinker keep scenarios valid by construction).
+    /// host its tenant count, or [`GpuConfig::check_profiles`] rejects a
+    /// tenant's profile (possible only for hand-edited repro files — the
+    /// generator and shrinker keep scenarios valid by construction).
     pub fn config(&self) -> Result<GpuConfig, SimError> {
-        Ok(self
+        let cfg = self
             .base_config()
             .try_for_tenants(self.tenants.len())?
-            .try_with_preset(self.preset)?)
+            .try_with_preset(self.preset)?;
+        let profiles: Vec<AppProfile> = self.tenants.iter().map(|t| t.spec().profile()).collect();
+        cfg.check_profiles(&profiles)?;
+        Ok(cfg)
     }
 
     /// Serializes the scenario as a self-contained JSON object (the repro
@@ -356,7 +360,8 @@ impl FuzzScenario {
     ///
     /// Returns a description of the first missing/ill-typed field or
     /// structurally invalid value (bad tenant count, uneven walker split,
-    /// impossible TLB geometry, malformed repartition mask or fault spec).
+    /// impossible TLB geometry, malformed repartition mask or fault spec,
+    /// or anything [`config`](Self::config) rejects).
     pub fn from_json(v: &Json) -> Result<FuzzScenario, String> {
         let uint = |k: &str| {
             v.get(k)
@@ -522,6 +527,9 @@ impl FuzzScenario {
         if sc.dram_occupancy == 0 {
             return Err("scenario: zero DRAM occupancy (free bandwidth)".into());
         }
+        // A hand-edited synthetic profile fails here, on load, rather than
+        // panicking in the stream generator mid-run.
+        sc.config().map_err(|e| format!("scenario: {e}"))?;
         Ok(sc)
     }
 }

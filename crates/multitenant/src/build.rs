@@ -291,8 +291,10 @@ impl SimulationBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] when no tenants were added or
-    /// the configuration cannot host them.
+    /// Returns [`SimError::InvalidConfig`] when no tenants were added, the
+    /// configuration cannot host them, or a tenant's profile is malformed
+    /// or lays out pages past the page table's reach
+    /// ([`ConfigError::Profile`]).
     pub fn try_build(mut self) -> Result<Simulation, SimError> {
         let scenario = match self.scenario.take() {
             Some(spec) => {
@@ -317,6 +319,7 @@ impl SimulationBuilder {
         if let Some(preset) = self.preset {
             cfg = cfg.try_with_preset(preset)?;
         }
+        cfg.check_profiles(&profiles)?;
         let mut sim = Simulation::with_profiles(cfg, &profiles, self.seed, self.obs, self.metrics);
         if let Some(spec) = scenario {
             sim.attach_scenario(spec.compile());
@@ -428,6 +431,71 @@ mod tests {
     }
 
     #[test]
+    fn malformed_profiles_are_rejected_at_build() {
+        let mut no_hot = AppId::Mm.profile();
+        no_hot.hot_pages = 0;
+        let mut past_reach = AppId::Mm.profile();
+        past_reach.cold_pages = 1 << 36;
+        let mut overflowing = AppId::Mm.profile();
+        overflowing.cold_pages = u64::MAX;
+        for (profile, want) in [
+            (no_hot, "hot_pages"),
+            (past_reach, "reach"),
+            (overflowing, "reach"),
+        ] {
+            // Both entry points: a tenant list, and a scenario's arrival.
+            let listed = small()
+                .tenant(AppId::Gups)
+                .tenant(TenantSpec::synthetic(profile))
+                .try_build();
+            let arriving = small()
+                .scenario(
+                    ScenarioSpec::new()
+                        .arrive(0, AppId::Gups)
+                        .arrive(0, TenantSpec::synthetic(profile)),
+                )
+                .try_build();
+            for err in [listed.err().unwrap(), arriving.err().unwrap()] {
+                match &err {
+                    SimError::InvalidConfig(ConfigError::Profile { tenant: 1, reason }) => {
+                        assert!(reason.contains(want), "{err}");
+                    }
+                    _ => panic!("want a profile error for tenant 1, got {err}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn profile_layout_must_end_below_the_table_reach() {
+        // One warp per tenant: the layout ends at hot + warm + cold + 1.
+        let cfg = GpuConfig::default()
+            .with_n_sms(2)
+            .with_warps_per_sm(1)
+            .for_tenants(2);
+        let mut p = AppId::Mm.profile();
+        p.hot_pages = 1;
+        p.warm_pages = 0;
+        p.warm_prob = 0.0;
+        for (size, reach) in [
+            (PageSize::Small4K, 1u64 << 36),
+            (PageSize::Large64K, 1 << 27),
+        ] {
+            let cfg = cfg.clone().with_page_size(size);
+            p.cold_pages = reach - 3;
+            assert_eq!(cfg.check_profiles(&[p, p]), Ok(()), "{size}");
+            p.cold_pages = reach - 2;
+            assert!(
+                matches!(
+                    cfg.check_profiles(&[AppId::Mm.profile(), p]),
+                    Err(ConfigError::Profile { tenant: 1, .. })
+                ),
+                "{size}"
+            );
+        }
+    }
+
+    #[test]
     fn tenant_specs_convert_from_app_ids() {
         let spec: TenantSpec = AppId::Mm.into();
         assert_eq!(spec.app(), AppId::Mm);
@@ -459,10 +527,11 @@ mod tests {
     #[test]
     fn synthetic_profile_changes_behavior() {
         // A genuinely different profile must actually drive the simulation
-        // differently (the override is not ignored).
+        // differently (the override is not ignored). MM's warm_prob is
+        // 0.35, so cold_prob stays within the sane joint bound of 1.
         let mut profile = AppId::Mm.profile();
         profile.cold_pages = 2048;
-        profile.cold_prob = 0.8;
+        profile.cold_prob = 0.6;
         let baseline = small()
             .tenants([AppId::Mm, AppId::Mm])
             .preset(PolicyPreset::Dws)

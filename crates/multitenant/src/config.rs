@@ -8,6 +8,7 @@ use walksteal_vm::{
     ArenaTlbKind, DwsPlusPlusParams, MaskConfig, PageSize, Replacement, StealMode, TlbConfig,
     WalkConfig, WalkPolicyKind, MAX_PARTITIONED_WALKERS,
 };
+use walksteal_workloads::{synth, AppProfile};
 
 /// The configurations compared throughout the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -438,6 +439,45 @@ impl GpuConfig {
         self.check_walker_split(n_tenants)?;
         self.walk.n_tenants = n_tenants;
         Ok(self)
+    }
+
+    /// Checks each tenant's profile against this configuration, already
+    /// specialized for `profiles.len()` tenants: the structural constraints
+    /// the warp streams assume ([`synth::sanity`]), and an address layout
+    /// inside the page table's [`table_reach`](PageSize::table_reach). A
+    /// tenant's warps share a hot and a warm region, then each takes a
+    /// private cold region plus a guard page (`WarpStream::new`), so no
+    /// page number reaches hot + warm + warps × (cold + 1); that bound
+    /// must lie below the reach.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::Profile`] for the first tenant that fails.
+    pub fn check_profiles(&self, profiles: &[AppProfile]) -> Result<(), ConfigError> {
+        let warps = (self.n_sms / profiles.len().max(1) * self.warps_per_sm) as u64;
+        let reach = self.page_size.table_reach();
+        for (tenant, p) in profiles.iter().enumerate() {
+            synth::sanity(p).map_err(|reason| ConfigError::Profile { tenant, reason })?;
+            let end = p
+                .cold_pages
+                .checked_add(1)
+                .and_then(|span| span.checked_mul(warps))
+                .and_then(|cold| cold.checked_add(p.hot_pages))
+                .and_then(|end| end.checked_add(p.warm_pages));
+            if end.is_none_or(|end| end >= reach) {
+                return Err(ConfigError::Profile {
+                    tenant,
+                    reason: format!(
+                        "profile {}: hot + warm + {warps} warps × (cold_pages + 1) pages \
+                         exceed the 2^{}-page reach of {} page tables",
+                        p.id,
+                        reach.trailing_zeros(),
+                        self.page_size
+                    ),
+                });
+            }
+        }
+        Ok(())
     }
 }
 

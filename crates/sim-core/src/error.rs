@@ -141,6 +141,15 @@ pub enum ConfigError {
     /// A scenario timeline failed validation (depart-before-arrive,
     /// out-of-range tenant index, a window with no resident tenant, ...).
     Scenario(String),
+    /// A tenant's behavioral profile breaks the warp streams' structural
+    /// constraints (an empty hot region, a probability out of range, ...)
+    /// or lays out pages past its page table's reach.
+    Profile {
+        /// Index of the offending tenant.
+        tenant: usize,
+        /// What is wrong with its profile.
+        reason: String,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -160,6 +169,7 @@ impl fmt::Display for ConfigError {
                 "{count} walkers exceed the partitioned scheduler's limit of {max}"
             ),
             ConfigError::Scenario(msg) => write!(f, "invalid scenario: {msg}"),
+            ConfigError::Profile { tenant, reason } => write!(f, "tenant {tenant}: {reason}"),
         }
     }
 }

@@ -49,6 +49,14 @@ impl PageSize {
         9
     }
 
+    /// Pages a page table of this size can map: 2^(9 × levels), that is
+    /// 2^36 pages for 4 KB pages and 2^27 for 64 KB pages. Every VPN a
+    /// table walks must lie below it.
+    #[must_use]
+    pub fn table_reach(self) -> u64 {
+        1 << (self.bits_per_level() * self.levels() as u32)
+    }
+
     /// Cache lines per page for `line_bytes`-byte lines.
     #[must_use]
     pub fn lines(self, line_bytes: u64) -> u64 {
@@ -76,6 +84,8 @@ mod tests {
         assert_eq!(PageSize::Small4K.levels(), 4);
         assert_eq!(PageSize::Large64K.levels(), 3);
         assert_eq!(PageSize::Small4K.bits_per_level(), 9);
+        assert_eq!(PageSize::Small4K.table_reach(), 1 << 36);
+        assert_eq!(PageSize::Large64K.table_reach(), 1 << 27);
     }
 
     #[test]

@@ -6,8 +6,12 @@
 //! number. Interior nodes and leaf frames are allocated lazily from a shared
 //! [`FrameAlloc`] the first time a page is touched — mirroring first-touch
 //! demand allocation.
+//!
+//! The host layout is the modeled one: each allocated node is one 4 KB
+//! page-table page, held as its frame plus its 512 entries, and a walk
+//! indexes one node per level. There is no hashing and no lookup cache.
 
-use walksteal_sim_core::{FnvMap, PhysAddr, Ppn, TenantId, Vpn};
+use walksteal_sim_core::{PhysAddr, Ppn, TenantId, Vpn};
 
 use crate::frame::FrameAlloc;
 use crate::page::PageSize;
@@ -15,13 +19,30 @@ use crate::page::PageSize;
 /// Size of one page-table entry in bytes.
 pub const PTE_BYTES: u64 = 8;
 
-/// Packs an interior-node map key into one word (single-`u64` FNV hash).
-/// Prefixes stay far below 2^60: a level-`L` prefix is the VPN shifted
-/// right by at least one 9-bit radix step.
-#[inline]
-fn node_key(level: usize, prefix: u64) -> u64 {
-    debug_assert!(level < 16 && prefix < 1 << 60, "node key fields overflow");
-    ((level as u64) << 60) | prefix
+/// Entries per node: one 4 KB page-table page of [`PTE_BYTES`]-byte entries.
+const FANOUT: usize = 512;
+
+/// The value of a slot that maps nothing yet.
+const EMPTY: u64 = 0;
+
+/// One page-table page: the frame it occupies and its 512 entries. An
+/// interior node's slot holds the index (in [`PageTable`]'s node list) of
+/// the child it points to; a last-level node's slot holds the mapped frame
+/// plus one. [`EMPTY`] is free in both encodings: the root, index 0, is
+/// nobody's child.
+#[derive(Debug, Clone)]
+struct Node {
+    frame: Ppn,
+    slots: Box<[u64; FANOUT]>,
+}
+
+impl Node {
+    fn new(frame: Ppn) -> Self {
+        Node {
+            frame,
+            slots: Box::new([EMPTY; FANOUT]),
+        }
+    }
 }
 
 /// The result of resolving a [`Vpn`] through the radix tree.
@@ -37,7 +58,14 @@ pub struct WalkPath {
     pub ppn: Ppn,
 }
 
-/// One tenant's multi-level page table.
+/// One tenant's multi-level page table: a radix tree of 512-entry nodes,
+/// [`levels`](PageSize::levels) deep, covering
+/// [`table_reach`](PageSize::table_reach) pages.
+///
+/// Nodes are allocated on first touch, top-down: the root at the first
+/// walk, then each missing interior node on the walk's path, then the data
+/// frame (or the whole reservation group). Each node takes one frame from
+/// the shared [`FrameAlloc`], so frame numbers follow touch order.
 ///
 /// # Examples
 ///
@@ -55,31 +83,17 @@ pub struct WalkPath {
 pub struct PageTable {
     tenant: TenantId,
     page_size: PageSize,
-    root: Ppn,
-    root_allocated: bool,
-    /// Interior nodes, keyed by [`node_key`] (level packed with the
-    /// index-prefix). Level 0 is the root's children, i.e. the node
-    /// *reached from* the root at a given prefix. FNV-hashed: probed per
-    /// walk level on the hot path, never iterated.
-    nodes: FnvMap<u64, Ppn>,
-    /// Leaf mappings (FNV-hashed likewise).
-    leaves: FnvMap<Vpn, Ppn>,
-    /// Last `(packed key, node)` resolved per interior level. Consecutive
-    /// walks nearly always repeat the upper-level prefixes, and interior
-    /// nodes are never remapped once allocated, so a key match answers the
-    /// map probe exactly (and implies no allocation would have happened).
-    node_memo: [(u64, Ppn); 4],
+    /// Every allocated node in allocation order; the root, once allocated,
+    /// is index 0.
+    nodes: Vec<Node>,
     touched_pages: u64,
     /// First touch of any page maps its whole aligned group of this many
     /// pages contiguously (1 = plain first-touch allocation). The
     /// contiguity guarantee behind Mosaic-style coalescing: page `i` of a
-    /// group always lands `i * granules` frames past the group's base.
+    /// group always lands `i * granules` frames past the group's base. A
+    /// group never spans two leaf nodes.
     reserve_pages: u64,
 }
-
-/// Sentinel memo key that can never equal a real [`node_key`] (real keys
-/// keep bit 63 clear: levels stay below 8).
-const MEMO_EMPTY: u64 = u64::MAX;
 
 impl PageTable {
     /// Creates an empty page table for `tenant`.
@@ -88,13 +102,7 @@ impl PageTable {
         PageTable {
             tenant,
             page_size,
-            root: Ppn(0),
-            root_allocated: false,
-            // Pre-sized so steady-state walks never pay a rehash; both maps
-            // grow past default capacity within the first simulated epoch.
-            nodes: FnvMap::with_capacity_and_hasher(1 << 12, Default::default()),
-            leaves: FnvMap::with_capacity_and_hasher(1 << 14, Default::default()),
-            node_memo: [(MEMO_EMPTY, Ppn(0)); 4],
+            nodes: Vec::new(),
             touched_pages: 0,
             reserve_pages: 1,
         }
@@ -106,12 +114,13 @@ impl PageTable {
     ///
     /// # Panics
     ///
-    /// Panics if `reserve_pages` is not a power of two.
+    /// Panics if `reserve_pages` is not a power of two that fits one leaf
+    /// node (at most 512 pages; Mosaic uses 8).
     #[must_use]
     pub fn with_reservation(tenant: TenantId, page_size: PageSize, reserve_pages: u64) -> Self {
         assert!(
-            reserve_pages.is_power_of_two(),
-            "reservation group must be a power of two"
+            reserve_pages.is_power_of_two() && reserve_pages <= FANOUT as u64,
+            "reservation group must be a power of two that fits one leaf node"
         );
         let mut pt = PageTable::new(tenant, page_size);
         pt.reserve_pages = reserve_pages;
@@ -139,7 +148,12 @@ impl PageTable {
     /// Looks up the mapping for `vpn` without allocating.
     #[must_use]
     pub fn translate(&self, vpn: Vpn) -> Option<Ppn> {
-        self.leaves.get(&vpn).copied()
+        let last = self.page_size.levels() - 1;
+        let leaf = self.find(vpn, last)?;
+        match self.nodes[leaf].slots[self.index_at(vpn, last)] {
+            EMPTY => None,
+            slot => Some(Ppn(slot - 1)),
+        }
     }
 
     /// The index-prefix consumed by levels `0..=level` of `vpn`.
@@ -154,11 +168,39 @@ impl PageTable {
         vpn.0 >> shift
     }
 
+    /// The slot `vpn` selects in the node read at `level`.
+    #[inline]
+    fn index_at(&self, vpn: Vpn, level: usize) -> usize {
+        (self.prefix_at(vpn, level) & (FANOUT as u64 - 1)) as usize
+    }
+
+    /// The node a walk of `vpn` reads at level `depth` (the root is depth
+    /// 0), or `None` if that path is not allocated or `vpn` is out of reach.
+    fn find(&self, vpn: Vpn, depth: usize) -> Option<usize> {
+        if vpn.0 >= self.page_size.table_reach() || self.nodes.is_empty() {
+            return None;
+        }
+        let mut node = 0;
+        for level in 0..depth {
+            match self.nodes[node].slots[self.index_at(vpn, level)] {
+                EMPTY => return None,
+                child => node = child as usize,
+            }
+        }
+        Some(node)
+    }
+
     /// Resolves `vpn` through the tree, allocating any missing interior
     /// nodes and the leaf frame from `frames` (first touch).
     ///
     /// Returns the per-level entry addresses the walker must read, the node
     /// addresses (for page-walk-cache fills), and the final frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vpn` is at or past the table's
+    /// [`table_reach`](PageSize::table_reach). Simulation set-up rejects
+    /// any tenant whose address layout could reach that far.
     pub fn walk_path(&mut self, vpn: Vpn, frames: &mut FrameAlloc) -> WalkPath {
         let mut out = WalkPath::default();
         self.walk_path_into(vpn, frames, &mut out);
@@ -168,80 +210,85 @@ impl PageTable {
     /// As [`walk_path`](Self::walk_path), but writes into `out`, reusing its
     /// buffers. The walker dispatch path calls this once per walk, so it
     /// must not allocate in steady state.
+    ///
+    /// # Panics
+    ///
+    /// As [`walk_path`](Self::walk_path).
     pub fn walk_path_into(&mut self, vpn: Vpn, frames: &mut FrameAlloc, out: &mut WalkPath) {
-        if !self.root_allocated {
-            self.root = frames.alloc();
-            self.root_allocated = true;
+        let reach = self.page_size.table_reach();
+        assert!(
+            vpn.0 < reach,
+            "vpn {:#x} is past the page table's reach of {reach:#x} pages",
+            vpn.0
+        );
+        if self.nodes.is_empty() {
+            self.nodes.push(Node::new(frames.alloc()));
         }
         let levels = self.page_size.levels();
-        let bits = u64::from(self.page_size.bits_per_level());
         out.entry_addrs.clear();
         out.node_addrs.clear();
-        let mut node = self.root;
+        let (mut node, mut index) = (0, 0);
         for level in 0..levels {
-            let shift = bits * (levels - 1 - level) as u64;
-            let index = (vpn.0 >> shift) & ((1 << bits) - 1);
+            index = self.index_at(vpn, level);
             // One 4 KB frame holds a 512-entry node regardless of data page
             // size; entries are PTE_BYTES each.
-            let node_base = PhysAddr(node.0 << 12);
+            let node_base = PhysAddr(self.nodes[node].frame.0 << 12);
             out.node_addrs.push(node_base);
-            out.entry_addrs.push(PhysAddr(node_base.0 + index * PTE_BYTES));
+            out.entry_addrs
+                .push(PhysAddr(node_base.0 + index as u64 * PTE_BYTES));
             if level + 1 < levels {
-                let key = node_key(level, vpn.0 >> shift);
-                let memo = &mut self.node_memo[level];
-                node = if memo.0 == key {
-                    memo.1
-                } else {
-                    let n = *self.nodes.entry(key).or_insert_with(|| frames.alloc());
-                    *memo = (key, n);
-                    n
+                node = match self.nodes[node].slots[index] {
+                    EMPTY => {
+                        let child = self.nodes.len();
+                        self.nodes.push(Node::new(frames.alloc()));
+                        self.nodes[node].slots[index] = child as u64;
+                        child
+                    }
+                    child => child as usize,
                 };
             }
         }
-        // Leaf frames are allocated in 4 KB granules; a large data page
-        // reserves all of its granules so its cache lines never alias
-        // another allocation's.
-        let granules = self.page_size.bytes() / 4096;
-        if self.reserve_pages > 1 {
-            out.ppn = match self.leaves.get(&vpn) {
-                Some(&ppn) => ppn,
-                None => {
-                    // Map the whole aligned group contiguously, so every
-                    // page of the group gets a frame offset equal to its
-                    // page offset — the contiguity Mosaic coalescing needs.
-                    let group_base = vpn.0 & !(self.reserve_pages - 1);
-                    let frame_base = frames.alloc_contiguous(granules * self.reserve_pages);
-                    for i in 0..self.reserve_pages {
-                        self.leaves
-                            .insert(Vpn(group_base + i), Ppn(frame_base.0 + i * granules));
-                    }
-                    self.touched_pages += self.reserve_pages;
-                    Ppn(frame_base.0 + (vpn.0 - group_base) * granules)
-                }
-            };
-            return;
+        // `node` is now the last-level node and `index` its slot for `vpn`.
+        let slots = &mut self.nodes[node].slots;
+        if slots[index] == EMPTY {
+            // Leaf frames are allocated in 4 KB granules; a large data page
+            // reserves all of its granules so its cache lines never alias
+            // another allocation's. The whole aligned group is mapped
+            // contiguously, so every page of the group gets a frame offset
+            // equal to its page offset — the contiguity Mosaic coalescing
+            // needs.
+            let granules = self.page_size.bytes() / 4096;
+            let group = self.reserve_pages as usize;
+            let first = index & !(group - 1);
+            let base = frames.alloc_contiguous(granules * self.reserve_pages);
+            for (i, slot) in slots[first..first + group].iter_mut().enumerate() {
+                *slot = base.0 + i as u64 * granules + 1;
+            }
+            self.touched_pages += self.reserve_pages;
         }
-        let touched = &mut self.touched_pages;
-        out.ppn = *self.leaves.entry(vpn).or_insert_with(|| {
-            *touched += 1;
-            frames.alloc_contiguous(granules)
-        });
+        out.ppn = Ppn(slots[index] - 1);
     }
 
     /// The node physical address a walk would continue from after consuming
     /// levels `0..=level` — i.e. what a page-walk-cache hit at `level`
-    /// provides. Returns `None` if that subtree has not been allocated yet.
+    /// provides. Returns `None` if that subtree has not been allocated yet,
+    /// or if `level` is the last level (a leaf entry names a data frame).
     #[must_use]
     pub fn node_after(&self, vpn: Vpn, level: usize) -> Option<PhysAddr> {
-        let prefix = self.prefix_at(vpn, level);
-        self.nodes
-            .get(&node_key(level, prefix))
-            .map(|ppn| PhysAddr(ppn.0 << 12))
+        if level + 1 >= self.page_size.levels() {
+            return None;
+        }
+        self.find(vpn, level + 1)
+            .map(|n| PhysAddr(self.nodes[n].frame.0 << 12))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use walksteal_sim_core::SimRng;
+
     use super::*;
 
     fn pt() -> (PageTable, FrameAlloc) {
@@ -368,5 +415,225 @@ mod tests {
             );
         }
         assert_eq!(plain.touched_pages(), res.touched_pages());
+    }
+
+    #[test]
+    #[should_panic(expected = "fits one leaf node")]
+    fn reservation_wider_than_a_leaf_node_panics() {
+        let _ = PageTable::with_reservation(TenantId(0), PageSize::Small4K, 1024);
+    }
+
+    #[test]
+    fn last_page_in_reach_walks() {
+        for size in [PageSize::Small4K, PageSize::Large64K] {
+            let mut pt = PageTable::new(TenantId(0), size);
+            let mut f = FrameAlloc::new();
+            let last = Vpn(size.table_reach() - 1);
+            let p = pt.walk_path(last, &mut f);
+            assert_eq!(pt.translate(last), Some(p.ppn), "{size}");
+            assert_eq!(pt.translate(Vpn(size.table_reach())), None, "{size}");
+            assert_eq!(pt.node_after(Vpn(size.table_reach()), 0), None, "{size}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the page table's reach")]
+    fn walk_at_the_4k_reach_bound_panics() {
+        let (mut pt, mut f) = pt();
+        let _ = pt.walk_path(Vpn(1 << 36), &mut f);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the page table's reach")]
+    fn walk_at_the_64k_reach_bound_panics() {
+        let mut pt = PageTable::new(TenantId(0), PageSize::Large64K);
+        let _ = pt.walk_path(Vpn(1 << 27), &mut FrameAlloc::new());
+    }
+
+    /// The page table as it was first written: interior nodes in a map
+    /// keyed by (level, index-prefix), leaf frames in a map keyed by VPN.
+    /// The radix layout must answer every call exactly as it does,
+    /// allocating the same frames in the same order.
+    struct MapTable {
+        page_size: PageSize,
+        root: Option<Ppn>,
+        nodes: HashMap<(usize, u64), Ppn>,
+        leaves: HashMap<Vpn, Ppn>,
+        touched_pages: u64,
+        reserve_pages: u64,
+    }
+
+    impl MapTable {
+        fn new(page_size: PageSize, reserve_pages: u64) -> Self {
+            MapTable {
+                page_size,
+                root: None,
+                nodes: HashMap::new(),
+                leaves: HashMap::new(),
+                touched_pages: 0,
+                reserve_pages,
+            }
+        }
+
+        fn prefix_at(&self, vpn: Vpn, level: usize) -> u64 {
+            let levels = self.page_size.levels();
+            vpn.0 >> (u64::from(self.page_size.bits_per_level()) * (levels - 1 - level) as u64)
+        }
+
+        fn walk_path(&mut self, vpn: Vpn, frames: &mut FrameAlloc) -> WalkPath {
+            let mut node = *self.root.get_or_insert_with(|| frames.alloc());
+            let levels = self.page_size.levels();
+            let mut out = WalkPath::default();
+            for level in 0..levels {
+                let prefix = self.prefix_at(vpn, level);
+                let node_base = PhysAddr(node.0 << 12);
+                out.node_addrs.push(node_base);
+                out.entry_addrs
+                    .push(PhysAddr(node_base.0 + (prefix & 511) * PTE_BYTES));
+                if level + 1 < levels {
+                    node = *self
+                        .nodes
+                        .entry((level, prefix))
+                        .or_insert_with(|| frames.alloc());
+                }
+            }
+            out.ppn = match self.leaves.get(&vpn) {
+                Some(&ppn) => ppn,
+                None => {
+                    let granules = self.page_size.bytes() / 4096;
+                    let group_base = vpn.0 & !(self.reserve_pages - 1);
+                    let frame_base = frames.alloc_contiguous(granules * self.reserve_pages);
+                    for i in 0..self.reserve_pages {
+                        self.leaves
+                            .insert(Vpn(group_base + i), Ppn(frame_base.0 + i * granules));
+                    }
+                    self.touched_pages += self.reserve_pages;
+                    Ppn(frame_base.0 + (vpn.0 - group_base) * granules)
+                }
+            };
+            out
+        }
+
+        fn translate(&self, vpn: Vpn) -> Option<Ppn> {
+            self.leaves.get(&vpn).copied()
+        }
+
+        fn node_after(&self, vpn: Vpn, level: usize) -> Option<PhysAddr> {
+            self.nodes
+                .get(&(level, self.prefix_at(vpn, level)))
+                .map(|ppn| PhysAddr(ppn.0 << 12))
+        }
+    }
+
+    /// Two radix tables sharing one allocator, and their map-based twins
+    /// sharing another, driven through the same calls.
+    struct Rig {
+        radix: [PageTable; 2],
+        maps: [MapTable; 2],
+        radix_frames: FrameAlloc,
+        map_frames: FrameAlloc,
+        path: WalkPath,
+    }
+
+    impl Rig {
+        fn new(page_size: PageSize, reserve: u64) -> Self {
+            Rig {
+                radix: [0, 1].map(|t| PageTable::with_reservation(TenantId(t), page_size, reserve)),
+                maps: [0, 1].map(|_| MapTable::new(page_size, reserve)),
+                radix_frames: FrameAlloc::new(),
+                map_frames: FrameAlloc::new(),
+                path: WalkPath::default(),
+            }
+        }
+
+        fn walk(&mut self, t: usize, vpn: Vpn) {
+            self.radix[t].walk_path_into(vpn, &mut self.radix_frames, &mut self.path);
+            let want = self.maps[t].walk_path(vpn, &mut self.map_frames);
+            assert_eq!(self.path, want, "walk of {vpn:?} by table {t}");
+            assert_eq!(self.radix_frames.allocated(), self.map_frames.allocated());
+            self.check(t, vpn);
+        }
+
+        fn check(&self, t: usize, vpn: Vpn) {
+            let (radix, map) = (&self.radix[t], &self.maps[t]);
+            assert_eq!(
+                radix.translate(vpn),
+                map.translate(vpn),
+                "translate {vpn:?}"
+            );
+            for level in 0..radix.page_size().levels() {
+                assert_eq!(
+                    radix.node_after(vpn, level),
+                    map.node_after(vpn, level),
+                    "node_after({vpn:?}, {level})"
+                );
+            }
+            assert_eq!(radix.touched_pages(), map.touched_pages);
+        }
+    }
+
+    /// A tenant's address layout as `WarpStream` lays it out: a shared hot
+    /// region, a shared warm region, then one private cold region per warp,
+    /// each followed by a guard page.
+    struct Layout {
+        hot: u64,
+        warm: u64,
+        cold: u64,
+        warps: u64,
+    }
+
+    impl Layout {
+        fn random(rng: &mut SimRng) -> Self {
+            Layout {
+                hot: 1 + rng.next_below(64),
+                warm: rng.next_below(1000),
+                cold: 1 + rng.next_below(4096),
+                warps: 1 + rng.next_below(48),
+            }
+        }
+
+        fn draw(&self, rng: &mut SimRng) -> u64 {
+            match rng.next_below(3) {
+                0 => rng.next_below(self.hot),
+                1 if self.warm > 0 => self.hot + rng.next_below(self.warm),
+                _ => {
+                    let warp = rng.next_below(self.warps);
+                    self.hot + self.warm + warp * (self.cold + 1) + rng.next_below(self.cold)
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn radix_table_matches_map_reference() {
+        let mut rng = SimRng::new(0x9AD1);
+        for case in 0..32 {
+            let page_size = if case % 2 == 0 {
+                PageSize::Small4K
+            } else {
+                PageSize::Large64K
+            };
+            let reserve = if case % 4 < 2 { 1 } else { 8 };
+            let reach = page_size.table_reach();
+            let sparse = reach.min(1 << 30);
+            let layouts = [Layout::random(&mut rng), Layout::random(&mut rng)];
+            let mut rig = Rig::new(page_size, reserve);
+            for _ in 0..1500 {
+                let t = rng.next_below(2) as usize;
+                let vpn = if rng.chance(0.8) {
+                    layouts[t].draw(&mut rng)
+                } else {
+                    rng.next_below(sparse)
+                };
+                rig.walk(t, Vpn(vpn));
+                // Lookups of pages that may be unmapped or out of reach.
+                let probe = match rng.next_below(3) {
+                    0 => layouts[t].draw(&mut rng),
+                    1 => rng.next_below(sparse),
+                    _ => reach + rng.next_below(reach),
+                };
+                rig.check(t, Vpn(probe));
+            }
+        }
     }
 }

@@ -106,6 +106,36 @@ if [ "$rc" -ne 1 ]; then
   exit 1
 fi
 grep -q "check_interval" "$SMOKE/zero.err"
+# A tenant profile the warp streams cannot run is a typed configuration
+# error as well: an empty hot region, or cold regions that lay pages out
+# past the 2^36-page reach of a 4 KB page table. Each must exit 1 with its
+# diagnostic, not panic.
+cat > "$SMOKE/profile.json" <<'EOF'
+{
+  "events": [
+    {"arrive": {"cycle": 0, "app": "GUPS"}},
+    {"arrive": {"cycle": 0, "profile": {"id": "MM", "mean_compute": 24.0, "divergence": 1,
+      "hot_pages": 2, "cold_pages": 8, "cold_prob": 0.003, "warm_pages": 320, "warm_prob": 0.35,
+      "storm_every_ops": 800, "storm_ops": 80, "storm_cold_prob": 0.012,
+      "hot_pattern": "sequential", "length_scale": 1.0}}},
+    {"depart": {"cycle": 60000, "tenant": 0}}
+  ]
+}
+EOF
+sed 's/"hot_pages": 2/"hot_pages": 0/' "$SMOKE/profile.json" > "$SMOKE/nohot.json"
+grep -q '"hot_pages": 0' "$SMOKE/nohot.json"
+sed 's/"cold_pages": 8/"cold_pages": 68719476736/' "$SMOKE/profile.json" > "$SMOKE/reach.json"
+grep -q '"cold_pages": 68719476736' "$SMOKE/reach.json"
+for bad in nohot reach; do
+  rc=0
+  timeout 60 ./target/release/repro --quick --scenario "$SMOKE/$bad.json" > /dev/null 2> "$SMOKE/$bad.err" || rc=$?
+  if [ "$rc" -ne 1 ]; then
+    echo "churn smoke: the $bad.json profile should exit 1, got $rc" >&2
+    exit 1
+  fi
+done
+grep -q "hot_pages < 1" "$SMOKE/nohot.err"
+grep -q "page reach" "$SMOKE/reach.err"
 
 echo "== arena smoke =="
 # The policy arena end-to-end: the quick-field leaderboard ranks every

@@ -9,12 +9,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use walksteal::experiments::fuzz::{
-    load_repro, run_campaign, run_oracles, shrink, write_repro, CampaignOptions, Coverage,
-    FuzzGen, FuzzScenario, Plant,
+    load_repro, run_campaign, run_oracles, shrink, write_repro, CampaignOptions, Coverage, FuzzGen,
+    FuzzScenario, Plant, TenantSource,
 };
 use walksteal::experiments::suite::{planned_jobs, verify_cache};
 use walksteal::experiments::{Scale, Store};
 use walksteal::multitenant::PolicyPreset;
+use walksteal::workloads::AppProfile;
 
 /// A fresh scratch directory unique to this test process.
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -190,6 +191,31 @@ fn memory_shape_fields_default_vary_and_validate() {
         FuzzScenario::from_json(&bad.to_json()).is_err(),
         "zero DRAM occupancy must be rejected"
     );
+}
+
+/// A repro file whose synthetic profile the stream generator cannot run —
+/// an empty hot region, or cold regions laid out past the page table's
+/// reach — is rejected when it loads, not by a panic mid-replay.
+#[test]
+fn malformed_synthetic_profiles_are_rejected_on_load() {
+    let sc = load_repro(&corpus_dir().join("static-synthetic-storms.json")).expect("corpus loads");
+    let load_edited = |edit: &dyn Fn(&mut AppProfile)| {
+        let mut bad = sc.clone();
+        let profile = bad
+            .tenants
+            .iter_mut()
+            .find_map(|t| match t {
+                TenantSource::Synthetic(p) => Some(p),
+                TenantSource::App(_) => None,
+            })
+            .expect("the corpus scenario has a synthetic tenant");
+        edit(profile);
+        FuzzScenario::from_json(&bad.to_json()).expect_err("a malformed profile must not load")
+    };
+    let err = load_edited(&|p| p.hot_pages = 0);
+    assert!(err.contains("hot_pages"), "{err}");
+    let err = load_edited(&|p| p.cold_pages = 1 << 36);
+    assert!(err.contains("reach"), "{err}");
 }
 
 #[test]
