@@ -341,6 +341,8 @@ impl SimulationBuilder {
 
 #[cfg(test)]
 mod tests {
+    use walksteal_vm::{PageTable, MAX_FRAMES};
+
     use super::*;
 
     fn small() -> SimulationBuilder {
@@ -438,10 +440,14 @@ mod tests {
         past_reach.cold_pages = 1 << 36;
         let mut overflowing = AppId::Mm.profile();
         overflowing.cold_pages = u64::MAX;
+        // Inside the reach, but 8 warps of 2^30 pages need 2^33 frames.
+        let mut frame_hungry = AppId::Mm.profile();
+        frame_hungry.cold_pages = 1 << 30;
         for (profile, want) in [
             (no_hot, "hot_pages"),
             (past_reach, "reach"),
             (overflowing, "reach"),
+            (frame_hungry, "32-bit page-table entry"),
         ] {
             // Both entry points: a tenant list, and a scenario's arrival.
             let listed = small()
@@ -482,16 +488,75 @@ mod tests {
             (PageSize::Large64K, 1 << 27),
         ] {
             let cfg = cfg.clone().with_page_size(size);
+            let reason = |p: AppProfile| match cfg.check_profiles(&[AppId::Mm.profile(), p]) {
+                Err(ConfigError::Profile { tenant: 1, reason }) => reason,
+                other => panic!("{size}: want a profile error for tenant 1, got {other:?}"),
+            };
             p.cold_pages = reach - 3;
-            assert_eq!(cfg.check_profiles(&[p, p]), Ok(()), "{size}");
-            p.cold_pages = reach - 2;
-            assert!(
-                matches!(
+            if size == PageSize::Small4K {
+                // Inside the reach, but 2^36 pages need more frames than
+                // a 32-bit entry holds; the frame check comes second.
+                assert!(reason(p).contains("32-bit"), "{size}");
+            } else {
+                assert_eq!(
                     cfg.check_profiles(&[AppId::Mm.profile(), p]),
-                    Err(ConfigError::Profile { tenant: 1, .. })
-                ),
-                "{size}"
-            );
+                    Ok(()),
+                    "{size}"
+                );
+            }
+            p.cold_pages = reach - 2;
+            assert!(reason(p).contains("page reach"), "{size}");
+        }
+    }
+
+    #[test]
+    fn tenant_frames_must_fit_a_page_table_entry() {
+        // One warp per tenant: a layout ends at cold_pages + 2. Tenant 0
+        // ends just inside the 64 KB reach; search tenant 1's cold region
+        // for the largest one the frame check accepts.
+        let base = GpuConfig::default()
+            .with_n_sms(2)
+            .with_warps_per_sm(1)
+            .for_tenants(2);
+        let mut p = AppId::Mm.profile();
+        p.hot_pages = 1;
+        p.warm_pages = 0;
+        p.warm_prob = 0.0;
+        let with_cold = |cold_pages| AppProfile { cold_pages, ..p };
+        let first = with_cold((1 << 27) - 3);
+        for preset in [PolicyPreset::Baseline, PolicyPreset::MosaicPages] {
+            for size in [PageSize::Small4K, PageSize::Large64K] {
+                let cfg = base.clone().with_preset(preset).with_page_size(size);
+                let check = |cold| cfg.check_profiles(&[first, with_cold(cold)]);
+                let need = |cold: u64| {
+                    [first.cold_pages, cold]
+                        .map(|c| PageTable::frames_to_map(size, cfg.reserve_pages(), c + 2))
+                        .into_iter()
+                        .sum::<Option<u64>>()
+                        .unwrap()
+                };
+                let (mut fits, mut past) = (1, size.table_reach() - 3);
+                assert_eq!(check(fits), Ok(()), "{preset:?} {size}");
+                assert!(check(past).is_err(), "{preset:?} {size}");
+                while past - fits > 1 {
+                    let mid = fits + (past - fits) / 2;
+                    if check(mid).is_ok() {
+                        fits = mid;
+                    } else {
+                        past = mid;
+                    }
+                }
+                // The boundary is where the two tables' frames pass
+                // MAX_FRAMES, and the refusal names tenant 1.
+                assert!(need(fits) <= MAX_FRAMES, "{preset:?} {size}");
+                assert!(need(past) > MAX_FRAMES, "{preset:?} {size}");
+                match check(past) {
+                    Err(ConfigError::Profile { tenant: 1, reason }) => {
+                        assert!(reason.contains("32-bit page-table entry"), "{reason}");
+                    }
+                    other => panic!("{preset:?} {size}: want a frame error, got {other:?}"),
+                }
+            }
         }
     }
 

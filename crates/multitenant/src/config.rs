@@ -5,8 +5,8 @@ use walksteal_gpu::SmConfig;
 use walksteal_mem::MemSystemConfig;
 use walksteal_sim_core::ConfigError;
 use walksteal_vm::{
-    ArenaTlbKind, DwsPlusPlusParams, MaskConfig, PageSize, Replacement, StealMode, TlbConfig,
-    WalkConfig, WalkPolicyKind, MAX_PARTITIONED_WALKERS,
+    ArenaTlbKind, DwsPlusPlusParams, MaskConfig, PageSize, PageTable, Replacement, StealMode,
+    TlbConfig, WalkConfig, WalkPolicyKind, MAX_FRAMES, MAX_PARTITIONED_WALKERS, MOSAIC_GROUP,
 };
 use walksteal_workloads::{synth, AppProfile};
 
@@ -441,21 +441,40 @@ impl GpuConfig {
         Ok(self)
     }
 
+    /// Pages each page table maps on a page's first touch: Mosaic's
+    /// contiguity reservation maps the page's whole aligned group of
+    /// [`MOSAIC_GROUP`] pages, every other preset just the page.
+    #[must_use]
+    pub fn reserve_pages(&self) -> u64 {
+        if self.l2_arena == Some(ArenaTlbKind::Mosaic) {
+            MOSAIC_GROUP
+        } else {
+            1
+        }
+    }
+
     /// Checks each tenant's profile against this configuration, already
     /// specialized for `profiles.len()` tenants: the structural constraints
-    /// the warp streams assume ([`synth::sanity`]), and an address layout
-    /// inside the page table's [`table_reach`](PageSize::table_reach). A
-    /// tenant's warps share a hot and a warm region, then each takes a
-    /// private cold region plus a guard page (`WarpStream::new`), so no
-    /// page number reaches hot + warm + warps × (cold + 1); that bound
-    /// must lie below the reach.
+    /// the warp streams assume ([`synth::sanity`]), an address layout
+    /// inside the page table's [`table_reach`](PageSize::table_reach), and
+    /// a frame space the 32-bit page-table entries can number. A tenant's
+    /// warps share a hot and a warm region, then each takes a private cold
+    /// region plus a guard page (`WarpStream::new`), so no page number
+    /// reaches hot + warm + warps × (cold + 1); that bound must lie below
+    /// the reach. Mapping every page below it takes at most
+    /// [`PageTable::frames_to_map`] frames, and since one frame allocator
+    /// serves every tenant, the sum over tenants must not pass
+    /// [`MAX_FRAMES`].
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::Profile`] for the first tenant that fails.
+    /// Returns [`ConfigError::Profile`] for the first tenant that fails:
+    /// its profile, its layout's reach, or the frame sum up to and
+    /// including it, checked in that order.
     pub fn check_profiles(&self, profiles: &[AppProfile]) -> Result<(), ConfigError> {
         let warps = (self.n_sms / profiles.len().max(1) * self.warps_per_sm) as u64;
         let reach = self.page_size.table_reach();
+        let mut frames = 0u64;
         for (tenant, p) in profiles.iter().enumerate() {
             synth::sanity(p).map_err(|reason| ConfigError::Profile { tenant, reason })?;
             let end = p
@@ -463,9 +482,9 @@ impl GpuConfig {
                 .checked_add(1)
                 .and_then(|span| span.checked_mul(warps))
                 .and_then(|cold| cold.checked_add(p.hot_pages))
-                .and_then(|end| end.checked_add(p.warm_pages));
-            if end.is_none_or(|end| end >= reach) {
-                return Err(ConfigError::Profile {
+                .and_then(|end| end.checked_add(p.warm_pages))
+                .filter(|&end| end < reach)
+                .ok_or_else(|| ConfigError::Profile {
                     tenant,
                     reason: format!(
                         "profile {}: hot + warm + {warps} warps × (cold_pages + 1) pages \
@@ -474,8 +493,18 @@ impl GpuConfig {
                         reach.trailing_zeros(),
                         self.page_size
                     ),
-                });
-            }
+                })?;
+            frames = PageTable::frames_to_map(self.page_size, self.reserve_pages(), end)
+                .and_then(|f| f.checked_add(frames))
+                .filter(|&f| f <= MAX_FRAMES)
+                .ok_or_else(|| ConfigError::Profile {
+                    tenant,
+                    reason: format!(
+                        "profile {}: tenants 0..={tenant} could map more than the \
+                         {MAX_FRAMES} frames a 32-bit page-table entry can hold",
+                        p.id
+                    ),
+                })?;
         }
         Ok(())
     }

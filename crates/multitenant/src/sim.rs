@@ -18,8 +18,7 @@ use walksteal_sim_core::{
     Vpn, WalkerId,
 };
 use walksteal_vm::{
-    walk::WalkContext, ArenaTlb, ArenaTlbKind, FrameAlloc, MaskState, PageTable, Tlb, WalkRequest,
-    WalkSubsystem, MOSAIC_GROUP,
+    walk::WalkContext, ArenaTlb, FrameAlloc, MaskState, PageTable, Tlb, WalkRequest, WalkSubsystem,
 };
 use walksteal_workloads::{AppId, AppProfile, WarpStream};
 
@@ -251,11 +250,7 @@ impl Simulation {
         // contiguity-reserving allocator.
         let page_tables = (0..n_tenants)
             .map(|t| {
-                if cfg.l2_arena == Some(ArenaTlbKind::Mosaic) {
-                    PageTable::with_reservation(TenantId(t as u8), cfg.page_size, MOSAIC_GROUP)
-                } else {
-                    PageTable::new(TenantId(t as u8), cfg.page_size)
-                }
+                PageTable::with_reservation(TenantId(t as u8), cfg.page_size, cfg.reserve_pages())
             })
             .collect();
 

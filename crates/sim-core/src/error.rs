@@ -142,8 +142,10 @@ pub enum ConfigError {
     /// out-of-range tenant index, a window with no resident tenant, ...).
     Scenario(String),
     /// A tenant's behavioral profile breaks the warp streams' structural
-    /// constraints (an empty hot region, a probability out of range, ...)
-    /// or lays out pages past its page table's reach.
+    /// constraints (an empty hot region, a probability out of range, ...),
+    /// lays out pages past its page table's reach, or, with the tenants
+    /// before it, could allocate more frames than a 32-bit page-table
+    /// entry can hold.
     Profile {
         /// Index of the offending tenant.
         tenant: usize,

@@ -58,6 +58,14 @@ pub const MOSAIC_COALESCE_THRESHOLD: u32 = 4;
 /// Entries in the fully-associative large-page array of a [`MosaicTlb`].
 pub const MOSAIC_LARGE_ENTRIES: usize = 64;
 
+/// Consecutive groups whose 8-bit popmasks share one [`MosaicTlb`]
+/// directory word.
+const DIR_GROUPS: u64 = 8;
+const _: () = assert!(
+    MOSAIC_GROUP <= 8,
+    "a group's popmask must fit one directory byte"
+);
+
 /// An L2 TLB whose entries are split into per-page sub-entries with
 /// sharing-aware replacement.
 ///
@@ -433,9 +441,15 @@ fn split_key(key: u64) -> (TenantId, u64) {
 /// A directory counts distinct base-page fills per aligned group; at
 /// [`MOSAIC_COALESCE_THRESHOLD`] fills the group coalesces into one large
 /// entry (its base entries are invalidated — a translation is never mapped
-/// twice). Evicting a large entry *splinters* it: all of its base
-/// translations are re-filled into the base TLB, so no reach is silently
-/// lost. Contiguity is guaranteed by
+/// twice). The directory packs the 8-bit popmasks of eight consecutive
+/// groups into one `u64` word, keyed by `tenant_key(tenant, group / 8)`,
+/// with group `g`'s mask in byte `g % 8`. A coalesce clears its group's
+/// byte, and a word is dropped once all of its bytes are zero, so only
+/// words with a partly filled group are stored.
+///
+/// Evicting a large entry *splinters* it: all of its base translations
+/// are re-filled into the base TLB, so no reach is silently lost.
+/// Contiguity is guaranteed by
 /// [`PageTable::with_reservation`](crate::PageTable::with_reservation),
 /// which maps each aligned group contiguously on first touch.
 #[derive(Debug, Clone)]
@@ -443,8 +457,9 @@ pub struct MosaicTlb {
     base: Tlb,
     /// The large-page array, at most [`MOSAIC_LARGE_ENTRIES`] ranges.
     large: FnvMap<u64, LargeEntry>,
-    /// Distinct-fill popmask per `(tenant, group)` not yet coalesced.
-    dir: FnvMap<u64, u8>,
+    /// Distinct-fill popmasks of groups not yet coalesced, eight groups
+    /// to a word (see [`dir_slot`](Self::dir_slot)); no stored word is 0.
+    dir: FnvMap<u64, u64>,
     /// 4 KB frames per base page (1 for 4 KB pages).
     granules: u64,
     tick: u64,
@@ -468,6 +483,14 @@ impl MosaicTlb {
             coalesces: 0,
             splinters: 0,
         }
+    }
+
+    /// The directory word holding `group`'s popmask, and the shift of
+    /// that mask's byte within the word.
+    #[inline]
+    fn dir_slot(tenant: TenantId, group: u64) -> (u64, u32) {
+        let shift = (group % DIR_GROUPS) as u32 * 8;
+        (tenant_key(tenant, group / DIR_GROUPS), shift)
     }
 
     /// Looks up `(tenant, vpn)`: the large array first, then base entries.
@@ -494,15 +517,20 @@ impl MosaicTlb {
             e.last_use = self.tick;
             return;
         }
-        let mask = self.dir.entry(key).or_insert(0);
-        *mask |= 1 << (vpn.0 % MOSAIC_GROUP);
-        if u32::from(mask.count_ones()) < MOSAIC_COALESCE_THRESHOLD.min(MOSAIC_GROUP as u32) {
+        let (word_key, shift) = Self::dir_slot(tenant, group);
+        let word = self.dir.entry(word_key).or_insert(0);
+        *word |= 1 << (shift as u64 + vpn.0 % MOSAIC_GROUP);
+        let fills = ((*word >> shift) as u8).count_ones();
+        if fills < MOSAIC_COALESCE_THRESHOLD.min(MOSAIC_GROUP as u32) {
             self.base.fill(tenant, vpn, ppn, now);
             return;
         }
         // Coalesce: the reservation allocator placed page `i` of the group
         // at `base + i * granules`, so the triggering fill pins the base.
-        self.dir.remove(&key);
+        *word &= !(0xFF << shift);
+        if *word == 0 {
+            self.dir.remove(&word_key);
+        }
         let base = Ppn(ppn.0 - (vpn.0 % MOSAIC_GROUP) * self.granules);
         if self.large.len() == MOSAIC_LARGE_ENTRIES {
             let (&victim, _) = self
@@ -595,8 +623,9 @@ impl MosaicTlb {
 
     /// Structural invariants: the large array holds at most
     /// [`MOSAIC_LARGE_ENTRIES`] ranges, no base page covered by a live
-    /// large entry is also resident in the base TLB, and no directory
-    /// popmask coexists with a large entry for the same group.
+    /// large entry is also resident in the base TLB, a group with a large
+    /// entry has a zero directory byte, and no stored directory word is
+    /// zero.
     pub fn check_invariants(&self) -> Result<(), String> {
         if self.large.len() > MOSAIC_LARGE_ENTRIES {
             return Err(format!(
@@ -615,12 +644,26 @@ impl MosaicTlb {
                     ));
                 }
             }
-            if self.dir.contains_key(&key) {
+            let (word_key, shift) = Self::dir_slot(tenant, group);
+            if self
+                .dir
+                .get(&word_key)
+                .is_some_and(|w| (w >> shift) as u8 != 0)
+            {
                 return Err(format!(
                     "tenant {} group {group} has both a large entry and a directory mask",
                     tenant.0
                 ));
             }
+        }
+        if let Some(&key) = self.dir.iter().find_map(|(k, &w)| (w == 0).then_some(k)) {
+            let (tenant, word) = split_key(key);
+            return Err(format!(
+                "tenant {} keeps an empty directory word for groups {}..{}",
+                tenant.0,
+                word * DIR_GROUPS,
+                (word + 1) * DIR_GROUPS
+            ));
         }
         Ok(())
     }
@@ -703,7 +746,7 @@ impl DeadGuardTlb {
     /// a departure flush says nothing about entry liveness).
     pub fn invalidate_tenant(&mut self, tenant: TenantId, now: Cycle) -> usize {
         let dropped = self.base.invalidate_tenant(tenant, now);
-        self.live.retain(|&k, _| (k >> 56) as u8 != tenant.0);
+        self.live.retain(|&k, _| split_key(k).0 != tenant);
         dropped
     }
 
@@ -738,10 +781,20 @@ impl DeadGuardTlb {
     }
 
     /// Structural invariants: predictor counters stay within their 2-bit
-    /// range and no liveness record outlives a departed tenant's entries.
+    /// range and every liveness record names an entry resident in the base
+    /// TLB, so none outlives an evicted entry or a departed tenant's.
     pub fn check_invariants(&self) -> Result<(), String> {
         if let Some(&c) = self.counters.iter().find(|&&c| c > 3) {
             return Err(format!("dead-entry counter {c} escaped its 2-bit range"));
+        }
+        for &key in self.live.keys() {
+            let (tenant, vpn) = split_key(key);
+            if !self.base.contains(tenant, Vpn(vpn)) {
+                return Err(format!(
+                    "liveness record for tenant {} vpn {vpn} outlives its entry",
+                    tenant.0
+                ));
+            }
         }
         Ok(())
     }
@@ -979,9 +1032,10 @@ mod tests {
         )
     }
 
-    /// Fills `group` with contiguous frames at `base`, triggering coalesce.
-    fn coalesce_group(t: &mut MosaicTlb, tenant: TenantId, group: u64, base: u64) {
-        for page in 0..u64::from(MOSAIC_COALESCE_THRESHOLD) {
+    /// Fills the first `pages` pages of `group`, frames contiguous from
+    /// `base`.
+    fn fill_group(t: &mut MosaicTlb, tenant: TenantId, group: u64, pages: u64, base: u64) {
+        for page in 0..pages {
             t.fill(
                 tenant,
                 Vpn(group * MOSAIC_GROUP + page),
@@ -989,6 +1043,11 @@ mod tests {
                 Cycle(0),
             );
         }
+    }
+
+    /// Fills `group` with contiguous frames at `base`, triggering coalesce.
+    fn coalesce_group(t: &mut MosaicTlb, tenant: TenantId, group: u64, base: u64) {
+        fill_group(t, tenant, group, u64::from(MOSAIC_COALESCE_THRESHOLD), base);
     }
 
     #[test]
@@ -1092,6 +1151,87 @@ mod tests {
         assert_eq!(t.probe(T0, Vpn(0)), None);
         assert_eq!(t.probe(T1, Vpn(16)), Some(Ppn(200)), "other tenant intact");
         t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn mosaic_groups_sharing_a_directory_word_coalesce_independently() {
+        let mut t = mosaic();
+        let threshold = u64::from(MOSAIC_COALESCE_THRESHOLD);
+        // Groups 8..16 share one directory word. Fill them round-robin,
+        // one new page per group per round, each page twice: a repeat is
+        // not a distinct fill. Each group coalesces at exactly its
+        // threshold-th distinct fill, which also shows that the coalesces
+        // before it in the last round left its count intact.
+        for round in 0..threshold {
+            for g in 8..16 {
+                let (vpn, ppn) = (
+                    Vpn(g * MOSAIC_GROUP + round),
+                    Ppn(100 + g * MOSAIC_GROUP + round),
+                );
+                t.fill(T0, vpn, ppn, Cycle(0));
+                if round + 1 < threshold {
+                    t.fill(T0, vpn, ppn, Cycle(0));
+                }
+                let coalesced = if round + 1 == threshold { g - 7 } else { 0 };
+                assert_eq!(t.coalesces(), coalesced, "group {g}, {} fills", round + 1);
+                t.check_invariants().unwrap();
+            }
+        }
+        assert!(
+            t.dir.is_empty(),
+            "every group coalesced, so no word is left"
+        );
+    }
+
+    #[test]
+    fn mosaic_invalidate_tenant_clears_only_its_directory_words() {
+        let mut t = mosaic();
+        let short = u64::from(MOSAIC_COALESCE_THRESHOLD) - 1;
+        fill_group(&mut t, T0, 3, short, 100);
+        fill_group(&mut t, T1, 3, short, 200);
+        t.invalidate_tenant(T0, Cycle(1));
+        t.check_invariants().unwrap();
+        // Tenant 1's count survived: one more fill coalesces its group,
+        // while tenant 0's group starts over.
+        let page = 3 * MOSAIC_GROUP + short;
+        t.fill(T0, Vpn(page), Ppn(100 + short), Cycle(2));
+        assert_eq!(t.coalesces(), 0);
+        t.fill(T1, Vpn(page), Ppn(200 + short), Cycle(2));
+        assert_eq!(t.coalesces(), 1);
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn mosaic_invariants_check_the_packed_directory() {
+        let mut t = mosaic();
+        coalesce_group(&mut t, T0, 9, 100);
+        t.check_invariants().unwrap();
+        let (word, shift) = MosaicTlb::dir_slot(T0, 9);
+        t.dir.insert(word, 1 << shift);
+        let err = t.check_invariants().unwrap_err();
+        assert!(err.contains("directory mask"), "{err}");
+        t.dir.insert(word, 0);
+        let err = t.check_invariants().unwrap_err();
+        assert!(err.contains("empty directory word"), "{err}");
+    }
+
+    #[test]
+    fn dead_guard_invariants_catch_stale_liveness_records() {
+        let mut t = DeadGuardTlb::new(
+            TlbConfig {
+                sets: 2,
+                ways: 2,
+                replacement: Replacement::Lru,
+            },
+            2,
+        );
+        t.fill(T0, Vpn(1), Ppn(1), Cycle(0));
+        t.fill(T1, Vpn(2), Ppn(2), Cycle(0));
+        t.invalidate_tenant(T0, Cycle(1));
+        t.check_invariants().unwrap();
+        t.live.insert(tenant_key(T0, 1), false);
+        let err = t.check_invariants().unwrap_err();
+        assert!(err.contains("outlives"), "{err}");
     }
 
     #[test]

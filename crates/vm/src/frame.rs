@@ -33,6 +33,14 @@ impl FrameAlloc {
         FrameAlloc::default()
     }
 
+    /// An allocator whose next frame is `next`, to exercise frame numbers
+    /// near the page table's [`MAX_FRAMES`](crate::page_table::MAX_FRAMES)
+    /// without allocating billions of frames first.
+    #[cfg(test)]
+    pub(crate) fn starting_at(next: u64) -> Self {
+        FrameAlloc { next }
+    }
+
     /// Allocates the next free frame.
     pub fn alloc(&mut self) -> Ppn {
         let ppn = Ppn(self.next);

@@ -57,7 +57,7 @@ pub use arena::{
 pub use frame::FrameAlloc;
 pub use mask::{MaskConfig, MaskState};
 pub use page::PageSize;
-pub use page_table::{PageTable, WalkPath};
+pub use page_table::{PageTable, WalkPath, MAX_FRAMES};
 pub use pwc::{PwCache, PwcHit};
 pub use tlb::{Replacement, Tlb, TlbConfig};
 pub use walk::{

@@ -7,9 +7,11 @@
 //! [`FrameAlloc`] the first time a page is touched — mirroring first-touch
 //! demand allocation.
 //!
-//! The host layout is the modeled one: each allocated node is one 4 KB
-//! page-table page, held as its frame plus its 512 entries, and a walk
+//! The host layout follows the modeled one: each allocated node is one
+//! 4 KB page-table page, held as its frame plus its 512 entries, and a walk
 //! indexes one node per level. There is no hashing and no lookup cache.
+//! The host keeps each modeled 8-byte entry in 32 bits, so a node costs
+//! 2 KiB and every frame a table maps must lie below [`MAX_FRAMES`].
 
 use walksteal_sim_core::{PhysAddr, Ppn, TenantId, Vpn};
 
@@ -22,8 +24,14 @@ pub const PTE_BYTES: u64 = 8;
 /// Entries per node: one 4 KB page-table page of [`PTE_BYTES`]-byte entries.
 const FANOUT: usize = 512;
 
+/// Frames a page table can map: a last-level entry holds its frame plus
+/// one in 32 bits, so only frames `0..MAX_FRAMES` fit. Simulation set-up
+/// rejects any tenant set that could allocate more
+/// ([`frames_to_map`](PageTable::frames_to_map)).
+pub const MAX_FRAMES: u64 = u32::MAX as u64;
+
 /// The value of a slot that maps nothing yet.
-const EMPTY: u64 = 0;
+const EMPTY: u32 = 0;
 
 /// One page-table page: the frame it occupies and its 512 entries. An
 /// interior node's slot holds the index (in [`PageTable`]'s node list) of
@@ -33,7 +41,7 @@ const EMPTY: u64 = 0;
 #[derive(Debug, Clone)]
 struct Node {
     frame: Ppn,
-    slots: Box<[u64; FANOUT]>,
+    slots: Box<[u32; FANOUT]>,
 }
 
 impl Node {
@@ -152,8 +160,26 @@ impl PageTable {
         let leaf = self.find(vpn, last)?;
         match self.nodes[leaf].slots[self.index_at(vpn, last)] {
             EMPTY => None,
-            slot => Some(Ppn(slot - 1)),
+            slot => Some(Ppn(u64::from(slot) - 1)),
         }
+    }
+
+    /// The most frames a table of `page_size` with reservation groups of
+    /// `reserve_pages` allocates while mapping pages below `pages`: the
+    /// data frames of every group, rounded up to whole groups, plus every
+    /// node on their paths. Touching every page below `pages` allocates
+    /// exactly this many; `None` if the count overflows a `u64`.
+    #[must_use]
+    pub fn frames_to_map(page_size: PageSize, reserve_pages: u64, pages: u64) -> Option<u64> {
+        let granules = page_size.bytes() / 4096;
+        let data = pages
+            .checked_next_multiple_of(reserve_pages)?
+            .checked_mul(granules)?;
+        // A node at depth `levels - k` spans 512^k pages.
+        let nodes: u64 = (1..=page_size.levels() as u32)
+            .map(|k| pages.div_ceil(1 << (page_size.bits_per_level() * k)))
+            .sum();
+        data.checked_add(nodes)
     }
 
     /// The index-prefix consumed by levels `0..=level` of `vpn`.
@@ -199,8 +225,10 @@ impl PageTable {
     /// # Panics
     ///
     /// Panics if `vpn` is at or past the table's
-    /// [`table_reach`](PageSize::table_reach). Simulation set-up rejects
-    /// any tenant whose address layout could reach that far.
+    /// [`table_reach`](PageSize::table_reach), or if its data frame is at
+    /// or past [`MAX_FRAMES`]. Simulation set-up rejects any tenant whose
+    /// address layout could reach that far, and any tenant set that could
+    /// allocate that many frames.
     pub fn walk_path(&mut self, vpn: Vpn, frames: &mut FrameAlloc) -> WalkPath {
         let mut out = WalkPath::default();
         self.walk_path_into(vpn, frames, &mut out);
@@ -241,7 +269,10 @@ impl PageTable {
                     EMPTY => {
                         let child = self.nodes.len();
                         self.nodes.push(Node::new(frames.alloc()));
-                        self.nodes[node].slots[index] = child as u64;
+                        // Every node holds a frame, so its index fits
+                        // wherever the frames do.
+                        self.nodes[node].slots[index] =
+                            u32::try_from(child).expect("node index fits an entry");
                         child
                     }
                     child => child as usize,
@@ -262,11 +293,11 @@ impl PageTable {
             let first = index & !(group - 1);
             let base = frames.alloc_contiguous(granules * self.reserve_pages);
             for (i, slot) in slots[first..first + group].iter_mut().enumerate() {
-                *slot = base.0 + i as u64 * granules + 1;
+                *slot = leaf_entry(base.0 + i as u64 * granules);
             }
             self.touched_pages += self.reserve_pages;
         }
-        out.ppn = Ppn(slots[index] - 1);
+        out.ppn = Ppn(u64::from(slots[index]) - 1);
     }
 
     /// The node physical address a walk would continue from after consuming
@@ -280,6 +311,22 @@ impl PageTable {
         }
         self.find(vpn, level + 1)
             .map(|n| PhysAddr(self.nodes[n].frame.0 << 12))
+    }
+}
+
+/// The last-level entry mapping `frame`: the frame plus one, so that
+/// [`EMPTY`] stays free.
+///
+/// # Panics
+///
+/// Panics if `frame` is at or past [`MAX_FRAMES`], rather than wrapping to
+/// another frame or to an empty entry.
+fn leaf_entry(frame: u64) -> u32 {
+    match u32::try_from(frame + 1) {
+        Ok(entry) => entry,
+        Err(_) => panic!(
+            "frame {frame:#x} is past the {MAX_FRAMES:#x} frames a 32-bit page-table entry can hold"
+        ),
     }
 }
 
@@ -450,6 +497,57 @@ mod tests {
         let _ = pt.walk_path(Vpn(1 << 27), &mut FrameAlloc::new());
     }
 
+    #[test]
+    fn last_frame_an_entry_holds_maps() {
+        // Root and three interior nodes take the four frames below the
+        // data frame, which is the last one an entry can hold.
+        let mut pt = PageTable::new(TenantId(0), PageSize::Small4K);
+        let mut f = FrameAlloc::starting_at(MAX_FRAMES - 5);
+        let p = pt.walk_path(Vpn(0), &mut f);
+        assert_eq!(p.ppn, Ppn(MAX_FRAMES - 1));
+        assert_eq!(pt.translate(Vpn(0)), Some(Ppn(MAX_FRAMES - 1)));
+        assert_eq!(pt.walk_path(Vpn(0), &mut f), p);
+    }
+
+    #[test]
+    #[should_panic(expected = "32-bit page-table entry")]
+    fn first_frame_past_an_entry_is_refused() {
+        let mut pt = PageTable::new(TenantId(0), PageSize::Small4K);
+        let mut f = FrameAlloc::starting_at(MAX_FRAMES - 5);
+        let _ = pt.walk_path(Vpn(0), &mut f);
+        // Same leaf node, so the next frame allocated is the data frame.
+        let _ = pt.walk_path(Vpn(1), &mut f);
+    }
+
+    #[test]
+    fn frames_to_map_counts_what_touching_every_page_allocates() {
+        for size in [PageSize::Small4K, PageSize::Large64K] {
+            for reserve in [1, 8] {
+                for pages in [0, 1, 7, 8, 9, 511, 512, 513, 4096, 300_000] {
+                    let mut pt = PageTable::with_reservation(TenantId(0), size, reserve);
+                    let mut f = FrameAlloc::new();
+                    for v in 0..pages {
+                        let _ = pt.walk_path(Vpn(v), &mut f);
+                    }
+                    assert_eq!(
+                        PageTable::frames_to_map(size, reserve, pages),
+                        Some(f.allocated()),
+                        "{size}, groups of {reserve}, {pages} pages"
+                    );
+                }
+            }
+        }
+        let reach = PageSize::Small4K.table_reach();
+        assert_eq!(
+            PageTable::frames_to_map(PageSize::Small4K, 1, reach),
+            Some(reach + (1 << 27) + (1 << 18) + (1 << 9) + 1)
+        );
+        assert_eq!(
+            PageTable::frames_to_map(PageSize::Large64K, 8, u64::MAX / 2),
+            None
+        );
+    }
+
     /// The page table as it was first written: interior nodes in a map
     /// keyed by (level, index-prefix), leaf frames in a map keyed by VPN.
     /// The radix layout must answer every call exactly as it does,
@@ -536,12 +634,13 @@ mod tests {
     }
 
     impl Rig {
-        fn new(page_size: PageSize, reserve: u64) -> Self {
+        /// Both allocators hand out `first_frame` first.
+        fn new(page_size: PageSize, reserve: u64, first_frame: u64) -> Self {
             Rig {
                 radix: [0, 1].map(|t| PageTable::with_reservation(TenantId(t), page_size, reserve)),
                 maps: [0, 1].map(|_| MapTable::new(page_size, reserve)),
-                radix_frames: FrameAlloc::new(),
-                map_frames: FrameAlloc::new(),
+                radix_frames: FrameAlloc::starting_at(first_frame),
+                map_frames: FrameAlloc::starting_at(first_frame),
                 path: WalkPath::default(),
             }
         }
@@ -606,6 +705,7 @@ mod tests {
 
     #[test]
     fn radix_table_matches_map_reference() {
+        const WALKS: u64 = 1500;
         let mut rng = SimRng::new(0x9AD1);
         for case in 0..32 {
             let page_size = if case % 2 == 0 {
@@ -614,11 +714,17 @@ mod tests {
                 PageSize::Large64K
             };
             let reserve = if case % 4 < 2 { 1 } else { 8 };
+            // Half the cases allocate from just below the 32-bit entry
+            // limit. A walk takes at most one node per level plus its
+            // group's data frames, so every frame lies within `most` of
+            // MAX_FRAMES and none reaches it.
+            let most = WALKS * (page_size.levels() as u64 + reserve * page_size.bytes() / 4096);
+            let first_frame = if case % 8 < 4 { 0 } else { MAX_FRAMES - most };
             let reach = page_size.table_reach();
             let sparse = reach.min(1 << 30);
             let layouts = [Layout::random(&mut rng), Layout::random(&mut rng)];
-            let mut rig = Rig::new(page_size, reserve);
-            for _ in 0..1500 {
+            let mut rig = Rig::new(page_size, reserve, first_frame);
+            for _ in 0..WALKS {
                 let t = rng.next_below(2) as usize;
                 let vpn = if rng.chance(0.8) {
                     layouts[t].draw(&mut rng)

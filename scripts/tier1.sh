@@ -107,9 +107,10 @@ if [ "$rc" -ne 1 ]; then
 fi
 grep -q "check_interval" "$SMOKE/zero.err"
 # A tenant profile the warp streams cannot run is a typed configuration
-# error as well: an empty hot region, or cold regions that lay pages out
-# past the 2^36-page reach of a 4 KB page table. Each must exit 1 with its
-# diagnostic, not panic.
+# error as well: an empty hot region, cold regions that lay pages out
+# past the 2^36-page reach of a 4 KB page table, or cold regions inside
+# the reach whose 32 warps need more frames than a 32-bit page-table
+# entry can hold. Each must exit 1 with its diagnostic, not panic.
 cat > "$SMOKE/profile.json" <<'EOF'
 {
   "events": [
@@ -126,7 +127,9 @@ sed 's/"hot_pages": 2/"hot_pages": 0/' "$SMOKE/profile.json" > "$SMOKE/nohot.jso
 grep -q '"hot_pages": 0' "$SMOKE/nohot.json"
 sed 's/"cold_pages": 8/"cold_pages": 68719476736/' "$SMOKE/profile.json" > "$SMOKE/reach.json"
 grep -q '"cold_pages": 68719476736' "$SMOKE/reach.json"
-for bad in nohot reach; do
+sed 's/"cold_pages": 8/"cold_pages": 268435456/' "$SMOKE/profile.json" > "$SMOKE/frames.json"
+grep -q '"cold_pages": 268435456' "$SMOKE/frames.json"
+for bad in nohot reach frames; do
   rc=0
   timeout 60 ./target/release/repro --quick --scenario "$SMOKE/$bad.json" > /dev/null 2> "$SMOKE/$bad.err" || rc=$?
   if [ "$rc" -ne 1 ]; then
@@ -136,6 +139,7 @@ for bad in nohot reach; do
 done
 grep -q "hot_pages < 1" "$SMOKE/nohot.err"
 grep -q "page reach" "$SMOKE/reach.err"
+grep -q "32-bit page-table entry" "$SMOKE/frames.err"
 
 echo "== arena smoke =="
 # The policy arena end-to-end: the quick-field leaderboard ranks every

@@ -950,7 +950,8 @@ fn sub_entry_tlb_isolates_tenants() {
 
 /// Dead-entry-guard safety property: the predictor only ever *bypasses*
 /// fills — a [`DeadGuardTlb`](walksteal::vm::DeadGuardTlb) probe hit is
-/// always the correct mapping, never stale or foreign — and under a
+/// always the correct mapping, never stale or foreign — its invariants
+/// hold after every step, random departure flushes included, and under a
 /// stream-plus-hot-set mix it provably both learns dead evictions and
 /// bypasses fills.
 #[test]
@@ -987,6 +988,13 @@ fn dead_guard_tlb_never_serves_stale_mappings() {
                 Some(hit) => assert_eq!(hit, want, "case {case} op {op}: stale or foreign"),
                 None => tlb.fill(TenantId(t), Vpn(v), want, now),
             }
+            // A departure flush must take the tenant's liveness records
+            // with its entries.
+            if rng.chance(0.02) {
+                tlb.invalidate_tenant(TenantId(t), now);
+            }
+            tlb.check_invariants()
+                .unwrap_or_else(|e| panic!("case {case} op {op}: {e}"));
         }
         bypasses += tlb.bypasses();
         dead += tlb.dead_evictions();
