@@ -41,7 +41,8 @@ fn arena_race(ctx: &mut ExpContext, title: &str, mixes_per_count: usize) -> Tabl
     let presets = ctx.presets(&ARENA_PRESETS);
     // Per preset: normalized total IPC per mix, grouped by tenant count,
     // plus fairness per mix over all counts.
-    let mut ipc: Vec<Vec<Vec<f64>>> = vec![vec![Vec::new(); presets.len()]; ARENA_TENANT_COUNTS.len()];
+    let mut ipc: Vec<Vec<Vec<f64>>> =
+        vec![vec![Vec::new(); presets.len()]; ARENA_TENANT_COUNTS.len()];
     let mut fair: Vec<Vec<f64>> = vec![Vec::new(); presets.len()];
     for (ci, &n) in ARENA_TENANT_COUNTS.iter().enumerate() {
         let mixes = mixes_for(n);
@@ -157,6 +158,9 @@ mod tests {
         let table = arena_quick(&mut ctx);
         let text = table.to_string();
         assert!(text.contains("MOSAIC"));
-        assert!(!text.contains("DWS++"), "filtered preset still ran:\n{text}");
+        assert!(
+            !text.contains("DWS++"),
+            "filtered preset still ran:\n{text}"
+        );
     }
 }

@@ -136,7 +136,13 @@ fn run_churn(
 fn slo_pct(r: &SimResult) -> f64 {
     let churn = r.churn.as_ref().expect("scenario runs report churn");
     let n = churn.tenants.len() as f64;
-    100.0 * churn.tenants.iter().map(|t| t.slo_compliance()).sum::<f64>() / n
+    100.0
+        * churn
+            .tenants
+            .iter()
+            .map(|t| t.slo_compliance())
+            .sum::<f64>()
+        / n
 }
 
 /// The fairness-under-churn table for one suite: a row per seeded
@@ -333,7 +339,10 @@ mod tests {
         assert_eq!(t.rows.len(), CHURN_GAPS.len());
         for (label, vals) in &t.rows {
             assert_eq!(vals.len(), 3, "{label}");
-            assert!((vals[0] - 1.0).abs() < 1e-12, "{label}: Baseline is the base");
+            assert!(
+                (vals[0] - 1.0).abs() < 1e-12,
+                "{label}: Baseline is the base"
+            );
             assert!(vals.iter().all(|v| v.is_finite() && *v > 0.0), "{label}");
         }
     }

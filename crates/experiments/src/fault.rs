@@ -202,11 +202,15 @@ mod tests {
         let pb = b.take_plan(10);
         assert_eq!(pa, pb);
         assert_eq!(
-            pa.iter().filter(|f| **f == Some(InjectedFault::Panic)).count(),
+            pa.iter()
+                .filter(|f| **f == Some(InjectedFault::Panic))
+                .count(),
             2
         );
         assert_eq!(
-            pa.iter().filter(|f| **f == Some(InjectedFault::Budget)).count(),
+            pa.iter()
+                .filter(|f| **f == Some(InjectedFault::Budget))
+                .count(),
             1
         );
         assert!(a.exhausted());
@@ -255,7 +259,8 @@ mod tests {
 
     #[test]
     fn empty_dir_leaves_counter_pending() {
-        let dir = std::env::temp_dir().join(format!("walksteal-fault-empty-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("walksteal-fault-empty-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let mut s = FaultSpec::parse("corrupt=2").unwrap();

@@ -200,13 +200,19 @@ mod tests {
             "quick",
             42,
         );
-        assert_eq!(three.to_string(), "mixx|sens|ptw9|DWS|GUPS.3DS.MM|quick|s42");
+        assert_eq!(
+            three.to_string(),
+            "mixx|sens|ptw9|DWS|GUPS.3DS.MM|quick|s42"
+        );
     }
 
     #[test]
     fn distinct_parameters_are_distinct_keys() {
         let a = ExpKey::pair(PolicyPreset::Dws, gups_mm(), "paper", 42);
-        assert_ne!(a, ExpKey::pair(PolicyPreset::Baseline, gups_mm(), "paper", 42));
+        assert_ne!(
+            a,
+            ExpKey::pair(PolicyPreset::Baseline, gups_mm(), "paper", 42)
+        );
         assert_ne!(a, ExpKey::pair(PolicyPreset::Dws, gups_mm(), "quick", 42));
         assert_ne!(a, ExpKey::pair(PolicyPreset::Dws, gups_mm(), "paper", 43));
         let flipped = WorkloadPair::new(AppId::Mm, AppId::Gups);

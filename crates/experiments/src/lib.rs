@@ -67,8 +67,8 @@ pub use churn::{scenario_from_plan, ChurnKind};
 pub use fault::{FaultSpec, InjectedFault};
 pub use fuzz::{
     load_repro, run_campaign, run_oracles, shrink, write_repro, CampaignOptions, CampaignOutcome,
-    ChurnEvent, Coverage, Divergence, FuzzGen, FuzzScenario, OracleStats, Plant,
-    RepartitionEvent, TenantSource,
+    ChurnEvent, Coverage, Divergence, FuzzGen, FuzzScenario, OracleStats, Plant, RepartitionEvent,
+    TenantSource,
 };
 pub use key::ExpKey;
 pub use parallel::{Job, JobError, JobFailure, RunOptions, RunReport};

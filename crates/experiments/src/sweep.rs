@@ -307,22 +307,8 @@ mod tests {
             walksteal_workloads::AppId::Gups,
             walksteal_workloads::AppId::Mm,
         ]);
-        let (a, _) = run_point(
-            &mut ctx,
-            SweepAxis::Walkers,
-            8,
-            2,
-            PolicyPreset::Dws,
-            &mix,
-        );
-        let (b, _) = run_point(
-            &mut ctx,
-            SweepAxis::Walkers,
-            32,
-            2,
-            PolicyPreset::Dws,
-            &mix,
-        );
+        let (a, _) = run_point(&mut ctx, SweepAxis::Walkers, 8, 2, PolicyPreset::Dws, &mix);
+        let (b, _) = run_point(&mut ctx, SweepAxis::Walkers, 32, 2, PolicyPreset::Dws, &mix);
         assert_ne!(a, b, "different walker counts must be distinct runs");
     }
 

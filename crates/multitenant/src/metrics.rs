@@ -146,7 +146,10 @@ impl TenantResult {
             ),
             ("mpmi".into(), Json::Num(self.mpmi)),
             ("l2_tlb_misses".into(), Json::UInt(self.l2_tlb_misses)),
-            ("mean_walk_latency".into(), Json::Num(self.mean_walk_latency)),
+            (
+                "mean_walk_latency".into(),
+                Json::Num(self.mean_walk_latency),
+            ),
             ("mean_interleave".into(), Json::Num(self.mean_interleave)),
             ("stolen_fraction".into(), Json::Num(self.stolen_fraction)),
             ("pw_share".into(), Json::Num(self.pw_share)),
@@ -183,7 +186,12 @@ impl Sample {
             ("busy_walkers".into(), Json::UInt(self.busy_walkers as u64)),
             (
                 "instructions_delta".into(),
-                Json::Arr(self.instructions_delta.iter().map(|&d| Json::UInt(d)).collect()),
+                Json::Arr(
+                    self.instructions_delta
+                        .iter()
+                        .map(|&d| Json::UInt(d))
+                        .collect(),
+                ),
             ),
         ])
     }

@@ -194,14 +194,16 @@ impl ScenarioSpec {
     /// Appends a [`Repartition`](ScenarioEvent::Repartition) event.
     #[must_use]
     pub fn repartition(mut self, cycle: u64, active: Vec<bool>) -> Self {
-        self.events.push(ScenarioEvent::Repartition { cycle, active });
+        self.events
+            .push(ScenarioEvent::Repartition { cycle, active });
         self
     }
 
     /// Declares a tenant's p99 walk-latency SLO.
     #[must_use]
     pub fn slo_target(mut self, tenant: usize, p99_cycles: u64) -> Self {
-        self.events.push(ScenarioEvent::SloTarget { tenant, p99_cycles });
+        self.events
+            .push(ScenarioEvent::SloTarget { tenant, p99_cycles });
         self
     }
 
@@ -857,7 +859,10 @@ mod tests {
     fn rejects_empty_and_late_first_arrival() {
         let e = ScenarioSpec::new().validate().unwrap_err();
         assert!(matches!(e, ConfigError::Scenario(_)), "{e}");
-        let e = ScenarioSpec::new().arrive(5, AppId::Mm).validate().unwrap_err();
+        let e = ScenarioSpec::new()
+            .arrive(5, AppId::Mm)
+            .validate()
+            .unwrap_err();
         assert!(e.to_string().contains("cycle 0"), "{e}");
     }
 

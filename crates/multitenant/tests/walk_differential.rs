@@ -41,7 +41,11 @@ impl Side {
         }
     }
 
-    fn enqueue(&mut self, req: WalkRequest, now: Cycle) -> Result<Option<DispatchedWalk>, walksteal_vm::WalkQueueFull> {
+    fn enqueue(
+        &mut self,
+        req: WalkRequest,
+        now: Cycle,
+    ) -> Result<Option<DispatchedWalk>, walksteal_vm::WalkQueueFull> {
         let mut ctx = WalkContext {
             page_tables: &mut self.page_tables,
             frames: &mut self.frames,
@@ -52,7 +56,10 @@ impl Side {
         self.ws.try_enqueue(req, now, &mut ctx)
     }
 
-    fn complete(&mut self, d: DispatchedWalk) -> (walksteal_vm::CompletedWalk, Option<DispatchedWalk>) {
+    fn complete(
+        &mut self,
+        d: DispatchedWalk,
+    ) -> (walksteal_vm::CompletedWalk, Option<DispatchedWalk>) {
         let mut ctx = WalkContext {
             page_tables: &mut self.page_tables,
             frames: &mut self.frames,
@@ -138,7 +145,10 @@ fn drive(
             let (ca, na) = a.complete(d);
             let (cb, nb) = b.complete(d);
             assert_eq!(ca, cb, "{preset}: completed walk diverged at step {step}");
-            assert_eq!(na, nb, "{preset}: follow-on dispatch diverged at step {step}");
+            assert_eq!(
+                na, nb,
+                "{preset}: follow-on dispatch diverged at step {step}"
+            );
             if let Some(n) = na {
                 let pos = outstanding.partition_point(|o| o.done_at <= n.done_at);
                 outstanding.insert(pos, n);

@@ -205,7 +205,10 @@ impl fmt::Display for SimError {
                     BudgetKind::Cycles => "cycles",
                     BudgetKind::WallClock => "ms",
                 };
-                write!(f, "{kind} budget exceeded (limit {limit} {unit}; at {diag})")
+                write!(
+                    f,
+                    "{kind} budget exceeded (limit {limit} {unit}; at {diag})"
+                )
             }
             SimError::InvalidConfig(e) => write!(f, "invalid configuration: {e}"),
         }

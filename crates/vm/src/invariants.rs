@@ -42,9 +42,11 @@ use crate::walk::WalkSubsystem;
 pub fn check_scheduler(ws: &WalkSubsystem, attempts: u64, at: &str) -> Result<(), String> {
     check_accounting(ws, attempts, at)?;
 
-    let (Some(pend), Some(depths), Some(owners)) =
-        (ws.pend_walks(), ws.walker_queue_depths(), ws.walker_owners())
-    else {
+    let (Some(pend), Some(depths), Some(owners)) = (
+        ws.pend_walks(),
+        ws.walker_queue_depths(),
+        ws.walker_owners(),
+    ) else {
         return Ok(()); // Not partitioned: no per-tenant views to check.
     };
     let busy = ws.busy_per_tenant();

@@ -438,7 +438,8 @@ impl AppProfile {
                 .ok_or_else(|| format!("profile: missing integer field `{k}`"))
         };
         let id_name = str_field("id")?;
-        let id = AppId::from_name(id_name).ok_or_else(|| format!("profile: unknown app id `{id_name}`"))?;
+        let id = AppId::from_name(id_name)
+            .ok_or_else(|| format!("profile: unknown app id `{id_name}`"))?;
         let hot_pattern = match str_field("hot_pattern")? {
             "sequential" => HotPattern::Sequential,
             "random" => HotPattern::Random,

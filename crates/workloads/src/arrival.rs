@@ -114,7 +114,10 @@ impl ArrivalProcess {
     pub fn generate(&self, seed: u64) -> ChurnPlan {
         assert!(self.n_tenants > 0, "a plan needs at least one tenant");
         assert!(!self.pool.is_empty(), "the application pool is empty");
-        assert!(self.mean_gap > 0 && self.mean_residency > 0, "means must be positive");
+        assert!(
+            self.mean_gap > 0 && self.mean_residency > 0,
+            "means must be positive"
+        );
         assert!(
             (0.0..=1.0).contains(&self.depart_chance),
             "depart_chance must be a probability, got {}",
@@ -146,7 +149,10 @@ impl ArrivalProcess {
             .collect();
         departures.sort_unstable();
 
-        ChurnPlan { arrivals, departures }
+        ChurnPlan {
+            arrivals,
+            departures,
+        }
     }
 }
 
@@ -210,7 +216,10 @@ mod tests {
             light_span += l.arrivals[l.n_tenants() - 1].0;
             heavy_span += h.arrivals[h.n_tenants() - 1].0;
         }
-        assert!(heavy_dep > light_dep, "heavy churn should depart more ({heavy_dep} vs {light_dep})");
+        assert!(
+            heavy_dep > light_dep,
+            "heavy churn should depart more ({heavy_dep} vs {light_dep})"
+        );
         assert!(heavy_span < light_span, "heavy churn should arrive faster");
         assert!(heavy_dep > 0, "heavy preset never departs anyone");
     }

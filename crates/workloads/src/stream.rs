@@ -221,8 +221,8 @@ impl WarpStream {
         let mut sig: u64 = 0;
         for _ in 0..p.divergence {
             let r = self.next_ref();
-            let h = (r.vpn.0 ^ (u64::from(r.line_in_page) << 52))
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let h =
+                (r.vpn.0 ^ (u64::from(r.line_in_page) << 52)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
             let bit = 1u64 << (h >> 58);
             if sig & bit == 0 || !refs.contains(&r) {
                 refs.push(r);
@@ -264,7 +264,10 @@ mod tests {
                 let op = a.next_op();
                 let compute = b.next_op_into(&mut refs);
                 assert_eq!(op.as_ref().map(|o| o.compute), compute);
-                assert_eq!(op.as_ref().map(|o| o.refs.as_slice()), compute.map(|_| refs.as_slice()));
+                assert_eq!(
+                    op.as_ref().map(|o| o.refs.as_slice()),
+                    compute.map(|_| refs.as_slice())
+                );
                 assert_eq!(a.remaining(), b.remaining());
                 if op.is_none() {
                     break;

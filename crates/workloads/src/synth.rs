@@ -128,8 +128,8 @@ mod tests {
         for case in 0..500 {
             let p = synthetic_profile(&mut rng);
             sanity(&p).unwrap_or_else(|e| panic!("case {case}: {e}"));
-            let back = AppProfile::from_json(&p.to_json())
-                .unwrap_or_else(|e| panic!("case {case}: {e}"));
+            let back =
+                AppProfile::from_json(&p.to_json()).unwrap_or_else(|e| panic!("case {case}: {e}"));
             assert_eq!(p, back, "case {case}: JSON round-trip changed the profile");
         }
     }
@@ -148,7 +148,9 @@ mod tests {
     fn generator_is_deterministic() {
         let draw = |seed: u64| {
             let mut rng = SimRng::new(seed);
-            (0..32).map(|_| synthetic_profile(&mut rng)).collect::<Vec<_>>()
+            (0..32)
+                .map(|_| synthetic_profile(&mut rng))
+                .collect::<Vec<_>>()
         };
         assert_eq!(draw(7), draw(7));
         assert_ne!(draw(7), draw(8));

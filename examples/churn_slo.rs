@@ -12,9 +12,7 @@
 //! cargo run --release --example churn_slo
 //! ```
 
-use walksteal::multitenant::{
-    PolicyPreset, ScenarioSpec, SimulationBuilder, SloPolicy,
-};
+use walksteal::multitenant::{PolicyPreset, ScenarioSpec, SimulationBuilder, SloPolicy};
 use walksteal::workloads::AppId;
 
 fn main() {

@@ -16,10 +16,7 @@ use walksteal::multitenant::RunBudget;
 
 /// A fresh scratch cache directory unique to this test process.
 fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "walksteal-faultinj-{tag}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("walksteal-faultinj-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).expect("create scratch cache dir");
     dir
@@ -70,7 +67,10 @@ fn truncated_cache_file_is_quarantined_and_resimulated() {
         .as_ref()
         .expect("file should move to quarantine, not be deleted");
     assert!(moved.starts_with(dir.join(QUARANTINE_DIR)));
-    assert!(moved.exists(), "quarantined file is preserved for forensics");
+    assert!(
+        moved.exists(),
+        "quarantined file is preserved for forensics"
+    );
 
     // The heal is durable: a third run sees a fully valid cache.
     let mut third = ctx_on_disk(&dir);

@@ -55,7 +55,10 @@ fn same_seed_generates_the_same_scenarios() {
             any_differs = true;
         }
     }
-    assert!(any_differs, "different seeds must explore different scenarios");
+    assert!(
+        any_differs,
+        "different seeds must explore different scenarios"
+    );
 
     // Scenario index i is independent of whether 0..i were generated first.
     let fresh = FuzzGen::new(42).scenario(17).to_json().dump();
@@ -106,8 +109,8 @@ fn generated_churn_timelines_replay_clean_and_cancel() {
             "{}: a churn timeline without departures exercises nothing",
             sc.label
         );
-        let stats = run_oracles(sc)
-            .unwrap_or_else(|d| panic!("churn scenario {} diverged: {d}", sc.label));
+        let stats =
+            run_oracles(sc).unwrap_or_else(|d| panic!("churn scenario {} diverged: {d}", sc.label));
         cancelled += stats.cancelled;
     }
     assert!(
@@ -227,7 +230,10 @@ fn planted_bug_is_detected_shrunk_and_replayable() {
     // ...diverges once the reference side silently drops enqueues.
     sc.plant = Plant::DropReferenceEnqueues;
     let div = run_oracles(&sc).expect_err("planted bug must be detected");
-    assert_eq!(div.stage, "lockstep", "the lockstep oracle catches it: {div}");
+    assert_eq!(
+        div.stage, "lockstep",
+        "the lockstep oracle catches it: {div}"
+    );
 
     // The shrinker must converge to a no-larger scenario that still fails.
     let (min, min_div, evals) = shrink(&sc, 120);
@@ -301,7 +307,10 @@ fn small_campaign_is_clean_and_deterministic() {
     assert_eq!(first.generated, 4);
     assert!(first.corpus_replayed >= 3, "corpus replays as regressions");
     assert!(!first.out_of_budget);
-    assert!(first.total_steals > 0, "the campaign must exercise stealing");
+    assert!(
+        first.total_steals > 0,
+        "the campaign must exercise stealing"
+    );
 
     // Same seed, same campaign.
     let second = run_campaign(&opts).expect("campaign runs again");

@@ -195,7 +195,10 @@ fn policy_preset_labels_round_trip() {
         let shown = preset.to_string();
         assert_eq!(shown.parse::<PolicyPreset>(), Ok(preset), "{shown}");
     }
-    assert_eq!("dws++".parse::<PolicyPreset>(), Ok(PolicyPreset::DwsPlusPlus));
+    assert_eq!(
+        "dws++".parse::<PolicyPreset>(),
+        Ok(PolicyPreset::DwsPlusPlus)
+    );
     assert!("no-such-policy".parse::<PolicyPreset>().is_err());
 }
 
