@@ -271,7 +271,7 @@ impl<T> EventQueue<T> {
             next = Some(Cycle(self.next_ring_cycle()));
         }
         if let Some(f) = self.far.peek() {
-            if !next.is_some_and(|n| n <= f.at) {
+            if next.is_none_or(|n| n > f.at) {
                 next = Some(f.at);
             }
         }

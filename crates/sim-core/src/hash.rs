@@ -93,10 +93,8 @@ mod tests {
         // identically in two fresh maps (this is what keeps iteration-free
         // lookups reproducible across runs and hosts).
         fn hash_of(key: (u8, u64)) -> u64 {
-            use std::hash::{BuildHasher, Hash};
-            let mut h = FnvBuildHasher::default().build_hasher();
-            key.hash(&mut h);
-            h.finish()
+            use std::hash::BuildHasher;
+            FnvBuildHasher::default().hash_one(key)
         }
         assert_eq!(hash_of((3, 0xdead_beef)), hash_of((3, 0xdead_beef)));
         assert_ne!(hash_of((3, 0xdead_beef)), hash_of((4, 0xdead_beef)));
@@ -137,7 +135,7 @@ mod tests {
 
     #[test]
     fn colliding_keys_are_both_retrievable() {
-        use std::hash::{BuildHasher, Hash};
+        use std::hash::BuildHasher;
         // A (u8, u64) tuple hashes as write_u8(a) then write_u64(b), i.e.
         // hash = ((I ^ a)·P ^ b)·P. Two keys collide iff the inner term
         // matches, so pick b2 = ((I^a1)·P ^ b1) ^ ((I^a2)·P): a full 64-bit
@@ -148,9 +146,7 @@ mod tests {
         let b2 = (u64::from(a1) ^ I).wrapping_mul(P) ^ b1 ^ (u64::from(a2) ^ I).wrapping_mul(P);
 
         fn hash_of(key: (u8, u64)) -> u64 {
-            let mut h = FnvBuildHasher::default().build_hasher();
-            key.hash(&mut h);
-            h.finish()
+            FnvBuildHasher::default().hash_one(key)
         }
         assert_eq!(hash_of((a1, b1)), hash_of((a2, b2)), "construction broke");
 

@@ -10,8 +10,9 @@
 //!   FIFO tie-breaking for events scheduled at the same cycle.
 //! * [`rng`] — a small, fast, seedable random-number generator ([`SimRng`])
 //!   so simulations replay bit-identically from a seed.
-//! * [`stats`] — histograms and the geometric / arithmetic mean helpers
-//!   used throughout the paper's evaluation.
+//! * [`stats`] — histograms, the per-tenant [`ShareIntegral`] behind the
+//!   paper's TLB and walker shares, and the geometric / arithmetic mean
+//!   helpers used throughout the paper's evaluation.
 //! * [`json`] — a dependency-free JSON reader/writer ([`Json`]) for the
 //!   experiment cache and CLI output, so the workspace builds offline.
 //! * [`error`] — structured run failures ([`SimError`]) and watchdog
@@ -57,7 +58,7 @@ pub use ids::{Cycle, LineAddr, PhysAddr, Ppn, SmId, TenantId, VirtAddr, Vpn, Wal
 pub use json::Json;
 pub use metrics::{MetricsRegistry, SharedMetrics};
 pub use rng::SimRng;
-pub use stats::{amean, gmean, Histogram};
+pub use stats::{amean, gmean, Histogram, ShareIntegral};
 pub use trace::{
     JsonlTracer, NullTracer, Observer, RingTracer, TraceEvent, TraceFilter, TraceKind, Tracer,
 };

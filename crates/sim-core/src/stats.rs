@@ -1,6 +1,9 @@
 //! Statistics primitives used across the simulator and the evaluation
-//! harness: histograms and the geometric / arithmetic means the paper
+//! harness: histograms, the per-tenant share integral behind the paper's
+//! TLB and walker shares, and the geometric / arithmetic means the paper
 //! reports.
+
+use crate::{Cycle, TenantId};
 
 /// A fixed-bucket histogram of integer samples (e.g., queue depths or
 /// latencies). The final bucket is an overflow bucket.
@@ -110,6 +113,101 @@ impl Histogram {
     }
 }
 
+/// Per-tenant counts of one shared resource and their integral over
+/// cycles: the time-averaged *share* of the resource each tenant held.
+///
+/// It computes both of the paper's Fig. 9 shares, of the L2 TLB's entries
+/// and of the page-table walkers, and the trace replay rebuilds the walker
+/// share with it, so the two agree bit for bit. A caller
+/// [`advance`](Self::advance)s to a change's cycle before applying it.
+///
+/// # Examples
+///
+/// ```
+/// use walksteal_sim_core::{Cycle, ShareIntegral, TenantId};
+///
+/// let t = TenantId(0);
+/// let mut walkers = ShareIntegral::new(2, 4); // 2 tenants, 4 walkers
+/// walkers.add(t, 2); // tenant 0 holds 2 of 4 walkers from cycle 0...
+/// walkers.advance(Cycle(100));
+/// walkers.sub(t, 2); // ...to cycle 100, then none until cycle 200
+/// assert_eq!(walkers.share(t, Cycle(200)), 0.25);
+/// ```
+#[derive(Debug, Clone)]
+pub struct ShareIntegral {
+    counts: Vec<usize>,
+    /// Integral of each count over `[0, last]`.
+    integral: Vec<f64>,
+    last: Cycle,
+    capacity: usize,
+}
+
+impl ShareIntegral {
+    /// Zero counts for `n_tenants` tenants of a resource with `capacity`
+    /// units, the denominator of every share.
+    #[must_use]
+    pub fn new(n_tenants: usize, capacity: usize) -> Self {
+        ShareIntegral {
+            counts: vec![0; n_tenants],
+            integral: vec![0.0; n_tenants],
+            last: Cycle::ZERO,
+            capacity,
+        }
+    }
+
+    /// Integrates every tenant's count up to `now`. A `now` at or before
+    /// the last advance is a no-op.
+    #[inline]
+    pub fn advance(&mut self, now: Cycle) {
+        let dt = now.saturating_since(self.last) as f64;
+        if dt > 0.0 {
+            for (acc, &c) in self.integral.iter_mut().zip(&self.counts) {
+                *acc += c as f64 * dt;
+            }
+            self.last = now;
+        }
+    }
+
+    /// Adds `n` units to `tenant`'s count.
+    #[inline]
+    pub fn add(&mut self, tenant: TenantId, n: usize) {
+        self.counts[tenant.index()] += n;
+    }
+
+    /// Removes `n` units from `tenant`'s count.
+    #[inline]
+    pub fn sub(&mut self, tenant: TenantId, n: usize) {
+        self.counts[tenant.index()] -= n;
+    }
+
+    /// Units `tenant` holds now.
+    #[must_use]
+    pub fn count(&self, tenant: TenantId) -> usize {
+        self.counts[tenant.index()]
+    }
+
+    /// Units each tenant holds now, indexed by tenant.
+    #[must_use]
+    pub fn counts(&self) -> &[usize] {
+        &self.counts
+    }
+
+    /// Time-averaged fraction of the capacity `tenant` held over
+    /// `[0, now]`; 0 at cycle 0.
+    #[must_use]
+    pub fn share(&self, tenant: TenantId, now: Cycle) -> f64 {
+        let t = tenant.index();
+        let dt = now.saturating_since(self.last) as f64;
+        let integral = self.integral[t] + self.counts[t] as f64 * dt;
+        let denom = now.0 as f64 * self.capacity as f64;
+        if denom == 0.0 {
+            0.0
+        } else {
+            integral / denom
+        }
+    }
+}
+
 /// Geometric mean of strictly positive values; non-positive entries are
 /// skipped. Returns 1.0 for an empty (or all-skipped) input — the identity of
 /// a normalized-speedup product.
@@ -208,6 +306,48 @@ mod tests {
     #[should_panic(expected = "at least one bucket")]
     fn histogram_zero_buckets_panics() {
         let _ = Histogram::new(0, 1);
+    }
+
+    const T0: TenantId = TenantId(0);
+    const T1: TenantId = TenantId(1);
+
+    #[test]
+    fn share_integrates_across_count_changes() {
+        let mut s = ShareIntegral::new(2, 4);
+        s.add(T0, 2);
+        s.add(T1, 1);
+        s.advance(Cycle(100));
+        s.sub(T0, 1);
+        s.add(T1, 2);
+        s.advance(Cycle(300));
+        s.sub(T0, 1);
+        // T0: 2 units for 100 cycles, 1 for 200, 0 for 100, out of 4 x 400.
+        assert_eq!(s.share(T0, Cycle(400)), 400.0 / 1600.0);
+        // T1: 1 unit for 100 cycles, then 3 for 300.
+        assert_eq!(s.share(T1, Cycle(400)), 1000.0 / 1600.0);
+        assert_eq!((s.count(T0), s.count(T1)), (0, 3));
+        assert_eq!(s.counts(), &[0, 3]);
+    }
+
+    #[test]
+    fn advance_to_an_earlier_cycle_is_a_no_op() {
+        let mut s = ShareIntegral::new(1, 2);
+        s.add(T0, 1);
+        s.advance(Cycle(50));
+        s.advance(Cycle(10));
+        s.add(T0, 1);
+        // The count changed at cycle 50, not 10: 1 unit over [0, 50), then
+        // 2 over [50, 100).
+        assert_eq!(s.share(T0, Cycle(100)), 150.0 / 200.0);
+    }
+
+    #[test]
+    fn share_at_cycle_zero_is_zero() {
+        let mut s = ShareIntegral::new(2, 8);
+        s.add(T0, 8);
+        assert_eq!(s.share(T0, Cycle::ZERO), 0.0);
+        assert_eq!(s.share(T1, Cycle::ZERO), 0.0);
+        assert_eq!(s.share(T0, Cycle(10)), 1.0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   populated on first touch; walks read per-level entry addresses that are
 //!   cacheable in the shared L2.
 //! * [`tlb::Tlb`] — set-associative, LRU TLBs tagged by (tenant, vpn); used
-//!   for both the private per-SM L1 TLBs and the shared L2 TLB.
+//!   for both the private per-SM L1 TLBs and the L2 TLB.
 //! * [`pwc::PwCache`] — the page-walk cache: longest-prefix match over
 //!   upper page-table levels, reducing a walk to 1–3 memory accesses.
 //! * [`walk`] — the page-walk subsystem: a pool of page-table walkers fed by
@@ -20,10 +20,12 @@
 //!   the FWA / TWM / WTM hardware tables that implement stealing.
 //! * [`mask`] — a MASK-style token mechanism (TLB-fill throttling + PTE L2
 //!   bypass) used as a comparison point (paper Fig. 11).
-//! * [`arena`] — related-work L2-TLB organizations raced against DWS/DWS++:
-//!   sub-entry sharing ([`SubEntryTlb`]), Mosaic-style transparent
+//! * [`arena`] — the L2 TLB as one type, [`ArenaTlb`], for all five
+//!   organizations: the paper's shared [`Tlb`] and per-tenant private
+//!   `Tlb`s (S-TLB), and the related-work designs raced against DWS/DWS++
+//!   — sub-entry sharing ([`SubEntryTlb`]), Mosaic-style transparent
 //!   large-page coalescing ([`MosaicTlb`]), and dead-entry fill prediction
-//!   ([`DeadGuardTlb`]), all behind the [`ArenaTlb`] facade.
+//!   ([`DeadGuardTlb`]).
 //!
 //! # Examples
 //!

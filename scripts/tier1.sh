@@ -6,6 +6,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== format (rustfmt, no diff allowed) =="
+cargo fmt --all --check
+
+echo "== lint (clippy, warnings are errors) =="
+cargo clippy --all-targets --workspace -- -D warnings
+
 echo "== build (release, warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo build --release --workspace
 
@@ -156,10 +162,13 @@ echo "== fuzz + cache-audit smoke =="
 # Replay the checked-in corpus plus a short seeded campaign through the
 # stacked differential oracle (scheduler lockstep, end-to-end run,
 # trace-replay self-check, fault equivalence). Any divergence exits 1
-# after writing a minimized repro under results/fuzz/repros/.
-./target/release/repro --fuzz 10 --fuzz-seed 42 2> "$SMOKE/fuzz.txt"
+# after writing a minimized repro under results/fuzz/repros/. Thirty
+# scenarios at seed 42 reach every preset, so each L2 TLB organization
+# and walk policy meets the oracle here.
+./target/release/repro --fuzz 30 --fuzz-seed 42 2> "$SMOKE/fuzz.txt"
 grep -q "clean" "$SMOKE/fuzz.txt"
 grep -q "coverage:" "$SMOKE/fuzz.txt"
+grep -q "coverage: 14/14 presets" "$SMOKE/fuzz.txt"
 # The cache auditor must pass a sample of the smoke cache populated above.
 ./target/release/repro --quick --cache "$SMOKE/cache" --verify-cache 3 2> "$SMOKE/audit.txt"
 grep -q -- "-> 0 stale" "$SMOKE/audit.txt"
