@@ -21,7 +21,7 @@
 //! sweep walkers or TLB entries: WSoL normalized to the same point's
 //! Baseline, gmean over the seeded timelines.
 
-use walksteal_multitenant::{GpuConfig, PolicyPreset, ScenarioSpec, SimResult, SloPolicy};
+use walksteal_multitenant::{PolicyPreset, ScenarioSpec, SimResult, SloPolicy};
 use walksteal_sim_core::gmean;
 use walksteal_workloads::{ArrivalProcess, ChurnPlan};
 
@@ -110,14 +110,10 @@ pub fn scenario_from_plan(plan: &ChurnPlan, slo: Option<(u64, SloPolicy)>) -> Sc
     spec
 }
 
-/// The canonical hardware for an `n`-tenant churn run: identical to
-/// [`ExpContext::tenant_config`] — churn adds a timeline, not a machine.
-fn churn_config(ctx: &ExpContext, n: usize, preset: PolicyPreset) -> GpuConfig {
-    ctx.tenant_config(n, preset)
-}
-
-/// One churn cell: the scenario for `(kind, seed)` under `preset`,
-/// cache-keyed on the suite, preset, and the plan's arrivals.
+/// One churn cell: the scenario for `(kind, seed)` under `preset` on the
+/// canonical [`ExpContext::tenant_config`] machine (churn adds a timeline,
+/// not a machine), cache-keyed on the suite, preset, and the plan's
+/// arrivals.
 fn run_churn(
     ctx: &mut ExpContext,
     kind: ChurnKind,
@@ -126,7 +122,7 @@ fn run_churn(
     seed: u64,
 ) -> SimResult {
     let spec = scenario_from_plan(plan, Some(kind.slo()));
-    let cfg = churn_config(ctx, plan.n_tenants(), preset);
+    let cfg = ctx.tenant_config(plan.n_tenants(), preset);
     let label = format!("churn|{}|{}", kind.name(), preset.label());
     let key = ExpKey::custom_mix(&label, &plan.apps(), ctx.scale.label(), seed);
     ctx.scenario_run(key, cfg, &spec, seed)
@@ -248,7 +244,7 @@ pub fn sens_churn(ctx: &mut ExpContext) -> Table {
             let wsol: Vec<f64> = presets
                 .iter()
                 .map(|&preset| {
-                    let cfg = churn_config(ctx, plan.n_tenants(), preset);
+                    let cfg = ctx.tenant_config(plan.n_tenants(), preset);
                     let label = format!("churnS|g{gap}|{}", preset.label());
                     let key = ExpKey::custom_mix(&label, &plan.apps(), ctx.scale.label(), seed);
                     let r = ctx.scenario_run(key, cfg, &spec, seed);

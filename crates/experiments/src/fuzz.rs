@@ -1043,21 +1043,11 @@ fn simulate_and_replay(sc: &FuzzScenario) -> Result<(u64, bool), Divergence> {
             stage: "trace",
             detail: format!("trace replay failed: {e}"),
         })?;
-    for (t, rep) in replayed.tenants.iter().enumerate() {
-        let sim = &untraced.tenants[t];
-        for (what, got, want) in [
-            ("pw_share", rep.pw_share, sim.pw_share),
-            ("stolen_fraction", rep.stolen_fraction, sim.stolen_fraction),
-            ("mean_interleave", rep.mean_interleave, sim.mean_interleave),
-            ("mean_walk_latency", rep.mean_latency, sim.mean_walk_latency),
-        ] {
-            if got.to_bits() != want.to_bits() {
-                return Err(Divergence {
-                    stage: "trace",
-                    detail: format!("tenant {t} {what}: replayed {got} != simulated {want}"),
-                });
-            }
-        }
+    if let Some(detail) = crate::timeline::first_mismatch(&replayed, &untraced) {
+        return Err(Divergence {
+            stage: "trace",
+            detail,
+        });
     }
     Ok((untraced.events, false))
 }

@@ -77,4 +77,4 @@ pub use scale::Scale;
 pub use store::{QuarantineEvent, Store, StoreError};
 pub use suite::ExpContext;
 pub use sweep::SweepAxis;
-pub use timeline::{parse_trace, render, replay, TenantReplay, TraceReplay};
+pub use timeline::{first_mismatch, parse_trace, render, replay, TenantReplay, TraceReplay};

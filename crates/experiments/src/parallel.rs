@@ -8,36 +8,36 @@
 //!
 //! 1. the suite is replayed in *plan* mode to materialize the full job list
 //!    up front (see [`ExpContext::run`](crate::ExpContext::run)),
-//! 2. [`run_jobs`] simulates the jobs on a work-stealing pool of scoped
-//!    threads, and
+//! 2. [`run_jobs`] simulates the jobs on a pool of scoped threads, and
 //! 3. results are merged into the [`Store`] **in canonical job order**, so
 //!    the store — and every table derived from it — is bit-identical to a
 //!    serial run no matter how the pool interleaved the work.
 //!
-//! The pool is built purely on `std`: one `Mutex<VecDeque>` of job indices
-//! per worker (pop your own front, steal a victim's back) and an `mpsc`
-//! channel carrying results home. Each simulation seeds its own RNG from the
-//! job, so thread count and steal order cannot perturb any result.
+//! Every simulation the engine runs takes this path: a request made outside
+//! a plan pass runs as a one-job slice, and `--jobs 1` is a pool of one
+//! thread. The pool is built purely on `std`: one `AtomicUsize` cursor over
+//! the job slice, from which an idle worker claims the next unclaimed job,
+//! and an `mpsc` channel carrying results home. Each simulation seeds its
+//! own RNG from the job, so thread count and claim order cannot perturb any
+//! result.
 //!
 //! # Failure isolation
 //!
 //! A failing simulation must not take the suite down with it. Every attempt
 //! runs under `catch_unwind`, so a panicking job is *recorded* — key, seed,
-//! panic message, and backtrace — while its peers keep draining the queues
-//! (whose locks recover from poisoning rather than cascading the panic).
+//! panic message, and backtrace — while its peers keep claiming jobs.
 //! After the pool finishes, each failed job gets **one bounded retry**,
-//! serial and on a fresh stack; only if that also fails is the job declared
-//! dead. [`RunBudget`] watchdogs bound each attempt, turning a runaway
-//! simulation into a [`JobError::Budget`] with a partial-result diagnostic
-//! instead of a hung suite. The deterministic fault-injection harness
-//! ([`InjectedFault`]) drives exactly these
-//! paths in tests and CI.
+//! serial and on the caller's thread; only if that also fails is the job
+//! declared dead. [`RunBudget`] watchdogs bound each attempt, turning a
+//! runaway simulation into a [`JobError::Budget`] with a partial-result
+//! diagnostic instead of a hung suite. The deterministic fault-injection
+//! harness ([`InjectedFault`]) drives exactly these paths in tests and CI.
 
 use std::backtrace::Backtrace;
 use std::cell::{Cell, RefCell};
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{mpsc, Mutex, MutexGuard, Once, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Once};
 
 use walksteal_multitenant::{
     GpuConfig, RunBudget, ScenarioSpec, SimError, SimResult, SimulationBuilder,
@@ -178,13 +178,6 @@ pub struct RunOptions {
     pub faults: Vec<Option<InjectedFault>>,
 }
 
-/// Below this many jobs the pool is skipped entirely and the batch runs
-/// serially on the caller's thread: spawning workers, cloning channel
-/// handles, and bouncing job indices through mutexes costs more than a
-/// handful of simulations saves, and on single-core hosts it is a pure
-/// loss at any batch size.
-pub const SERIAL_CUTOFF: usize = 4;
-
 /// The machine's available parallelism (the `--jobs` default).
 ///
 /// `std::thread::available_parallelism` honours cgroup quotas and CPU
@@ -205,13 +198,6 @@ fn cpuinfo_processors() -> Option<usize> {
     let info = std::fs::read_to_string("/proc/cpuinfo").ok()?;
     let n = info.lines().filter(|l| l.starts_with("processor")).count();
     (n > 0).then_some(n)
-}
-
-/// Locks `m`, recovering the guard if a panicking holder poisoned it. The
-/// queues only ever hold plain job indices, so a poisoned lock's data is
-/// always valid — recovery cannot observe a broken invariant.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 thread_local! {
@@ -295,79 +281,50 @@ fn attempt(
 ///
 /// Jobs are borrowed, not consumed: callers comparing serial and parallel
 /// runs (or replaying a batch) pass the same slice twice without cloning
-/// every [`GpuConfig`] and [`ExpKey`] in it. Batches smaller than
-/// [`SERIAL_CUTOFF`] run serially regardless of `workers`.
+/// every [`GpuConfig`] and [`ExpKey`] in it.
 pub fn run_jobs(store: &mut Store, jobs: &[Job], workers: usize, opts: &RunOptions) -> RunReport {
-    let mut report = RunReport::default();
-    if jobs.is_empty() {
-        return report;
-    }
     debug_assert!(
         opts.faults.is_empty() || opts.faults.len() == jobs.len(),
         "fault plan must align with the job list"
     );
     let fault_of = |i: usize| opts.faults.get(i).copied().flatten();
-    let workers = if jobs.len() < SERIAL_CUTOFF {
-        1
-    } else {
-        workers.clamp(1, jobs.len())
-    };
-
+    let mut report = RunReport::default();
     let mut results: Vec<Option<SimResult>> = vec![None; jobs.len()];
     let mut first_errors: Vec<Option<JobError>> = vec![None; jobs.len()];
 
-    if workers == 1 {
-        for (i, job) in jobs.iter().enumerate() {
+    // Workers claim jobs from one shared cursor, so an idle worker always
+    // takes the next unclaimed job. The cursor only hands out indices into
+    // the borrowed, immutable job slice and publishes no other data, so
+    // `Relaxed` suffices: `fetch_add` alone makes every claim unique.
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel::<(usize, Result<SimResult, JobError>)>();
+    std::thread::scope(|s| {
+        for _ in 0..workers.max(1).min(jobs.len()) {
+            let (tx, next) = (tx.clone(), &next);
+            s.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(job) = jobs.get(i) else {
+                    return;
+                };
+                let r = attempt(job, fault_of(i), &opts.budget);
+                if tx.send((i, r)).is_err() {
+                    return;
+                }
+            });
+        }
+        drop(tx);
+        for (done, (i, r)) in rx.into_iter().enumerate() {
             if opts.verbose {
-                eprintln!("  sim: {}", job.key);
+                eprintln!("  sim [{}/{}]: {}", done + 1, jobs.len(), jobs[i].key);
             }
-            match attempt(job, fault_of(i), &opts.budget) {
+            match r {
                 Ok(r) => results[i] = Some(r),
                 Err(e) => first_errors[i] = Some(e),
             }
         }
-    } else {
-        // Round-robin the job indices across per-worker deques. Workers pop
-        // their own front and steal a victim's back, so early finishers
-        // drain the stragglers' queues instead of idling.
-        let queues: Vec<Mutex<VecDeque<usize>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for i in 0..jobs.len() {
-            lock(&queues[i % workers]).push_back(i);
-        }
+    });
 
-        let (tx, rx) = mpsc::channel::<(usize, Result<SimResult, JobError>)>();
-        let jobs_ref = &jobs;
-        let queues_ref = &queues;
-        std::thread::scope(|s| {
-            for me in 0..workers {
-                let tx = tx.clone();
-                s.spawn(move || {
-                    while let Some(i) = claim(queues_ref, me) {
-                        let r = attempt(&jobs_ref[i], fault_of(i), &opts.budget);
-                        if tx.send((i, r)).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            let total = jobs_ref.len();
-            let mut done = 0usize;
-            for (i, r) in rx {
-                done += 1;
-                if opts.verbose {
-                    eprintln!("  sim [{done}/{total}]: {}", jobs_ref[i].key);
-                }
-                match r {
-                    Ok(r) => results[i] = Some(r),
-                    Err(e) => first_errors[i] = Some(e),
-                }
-            }
-        });
-    }
-
-    // One bounded retry per failed job: serial, on this (fresh) stack, and
+    // One bounded retry per failed job: serial, on the caller's thread, and
     // never with an injected fault, so transient failures recover.
     for (i, first_error) in first_errors.into_iter().enumerate() {
         let Some(first_error) = first_error else {
@@ -412,20 +369,6 @@ pub fn run_jobs(store: &mut Store, jobs: &[Job], workers: usize, opts: &RunOptio
         }
     }
     report
-}
-
-/// Takes the next job index for worker `me`: own queue first, then steal.
-fn claim(queues: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
-    if let Some(i) = lock(&queues[me]).pop_front() {
-        return Some(i);
-    }
-    for step in 1..queues.len() {
-        let victim = (me + step) % queues.len();
-        if let Some(i) = lock(&queues[victim]).pop_back() {
-            return Some(i);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -495,32 +438,6 @@ mod tests {
         let report = run_plain(&mut store, &[], 8);
         assert_eq!(store.misses(), 0);
         assert!(report.failures.is_empty());
-    }
-
-    #[test]
-    fn claim_drains_all_queues() {
-        let queues: Vec<Mutex<VecDeque<usize>>> =
-            (0..3).map(|_| Mutex::new(VecDeque::new())).collect();
-        for i in 0..7 {
-            lock(&queues[i % 3]).push_back(i);
-        }
-        let mut seen: Vec<usize> = Vec::new();
-        while let Some(i) = claim(&queues, 1) {
-            seen.push(i);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, (0..7).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn lock_recovers_from_poisoning() {
-        let m = Mutex::new(VecDeque::from([1usize]));
-        let _ = panic::catch_unwind(AssertUnwindSafe(|| {
-            let _guard = m.lock().unwrap();
-            panic!("poison it");
-        }));
-        assert!(m.is_poisoned());
-        assert_eq!(lock(&m).pop_front(), Some(1));
     }
 
     #[test]

@@ -147,20 +147,16 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// let pair = WorkloadPair::new(AppId::Gups, AppId::Mm);
 /// let key = ExpKey::pair(PolicyPreset::Dws, pair, "quick", 42);
 /// let mut store = Store::in_memory();
-/// let mut runs = 0;
-/// let make = |runs: &mut u32| {
-///     *runs += 1;
-///     SimResult { tenants: vec![], cycles: 1, events: 0, timeline: vec![], churn: None }
-/// };
-/// store.get_or_run(&key, || make(&mut runs));
-/// store.get_or_run(&key, || make(&mut runs));
-/// assert_eq!(runs, 1); // second call was a cache hit
+/// assert!(store.lookup(&key).is_none());
+/// let r = SimResult { tenants: vec![], cycles: 1, events: 0, timeline: vec![], churn: None };
+/// store.insert(&key, r.clone());
+/// assert_eq!(store.lookup(&key), Some(r)); // answered from the cache
+/// assert_eq!(store.misses(), 1);
 /// ```
 #[derive(Debug)]
 pub struct Store {
     dir: Option<PathBuf>,
     memory: HashMap<ExpKey, SimResult>,
-    hits: u64,
     misses: u64,
     quarantined: Vec<QuarantineEvent>,
 }
@@ -172,7 +168,6 @@ impl Store {
         Store {
             dir: None,
             memory: HashMap::new(),
-            hits: 0,
             misses: 0,
             quarantined: Vec::new(),
         }
@@ -184,7 +179,6 @@ impl Store {
         Store {
             dir: Some(dir.into()),
             memory: HashMap::new(),
-            hits: 0,
             misses: 0,
             quarantined: Vec::new(),
         }
@@ -328,48 +322,25 @@ impl Store {
         }
     }
 
-    /// Returns the cached result for `key` without running anything.
-    ///
-    /// Counts a hit when found (in memory or on disk); counts nothing when
-    /// absent. A corrupt on-disk entry is quarantined (see the module docs)
-    /// and reads as absent.
+    /// Returns the cached result for `key` (in memory or on disk) without
+    /// running anything. A corrupt on-disk entry is quarantined (see the
+    /// module docs) and reads as absent.
     pub fn lookup(&mut self, key: &ExpKey) -> Option<SimResult> {
         if let Some(r) = self.memory.get(key) {
-            self.hits += 1;
             return Some(r.clone());
         }
-        let r = self.load_from_disk(key)?;
-        self.hits += 1;
-        Some(r)
+        self.load_from_disk(key)
     }
 
     /// Records a freshly simulated result, counting it as a miss.
     ///
-    /// This is the merge half of the parallel engine: workers simulate
+    /// This is the merge half of the experiment engine: workers simulate
     /// cache-missing jobs off-thread and the engine inserts the results in
-    /// canonical job order, leaving the store exactly as if `get_or_run` had
-    /// simulated each one in place.
+    /// canonical job order.
     pub fn insert(&mut self, key: &ExpKey, r: SimResult) {
         self.misses += 1;
         self.persist(key, &r);
         self.memory.insert(key.clone(), r);
-    }
-
-    /// Returns the cached result for `key`, or computes, caches, and
-    /// returns it.
-    pub fn get_or_run(&mut self, key: &ExpKey, run: impl FnOnce() -> SimResult) -> SimResult {
-        if let Some(r) = self.lookup(key) {
-            return r;
-        }
-        let r = run();
-        self.insert(key, r.clone());
-        r
-    }
-
-    /// Cache hits so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
     }
 
     /// Cache misses (i.e. simulations actually run).
@@ -416,37 +387,27 @@ mod tests {
     #[test]
     fn memoizes() {
         let mut s = Store::in_memory();
-        let a = s.get_or_run(&key(1), || dummy(7));
-        let b = s.get_or_run(&key(1), || panic!("must not re-run"));
-        assert_eq!(a, b);
-        assert_eq!(s.hits(), 1);
+        s.insert(&key(1), dummy(7));
+        assert_eq!(s.lookup(&key(1)), Some(dummy(7)));
+        assert_eq!(s.lookup(&key(1)), Some(dummy(7)));
         assert_eq!(s.misses(), 1);
     }
 
     #[test]
-    fn distinct_keys_rerun() {
+    fn distinct_keys_are_distinct_entries() {
         let mut s = Store::in_memory();
-        s.get_or_run(&key(1), || dummy(1));
-        let b = s.get_or_run(&key(2), || dummy(2));
-        assert_eq!(b.cycles, 2);
+        s.insert(&key(1), dummy(1));
+        assert!(s.lookup(&key(2)).is_none());
+        s.insert(&key(2), dummy(2));
+        assert_eq!(s.lookup(&key(2)).map(|r| r.cycles), Some(2));
+        assert_eq!(s.lookup(&key(1)).map(|r| r.cycles), Some(1));
         assert_eq!(s.misses(), 2);
-    }
-
-    #[test]
-    fn insert_behaves_like_a_computed_run() {
-        let mut s = Store::in_memory();
-        s.insert(&key(1), dummy(9));
-        let r = s.get_or_run(&key(1), || panic!("must not re-run"));
-        assert_eq!(r.cycles, 9);
-        assert_eq!(s.hits(), 1);
-        assert_eq!(s.misses(), 1);
     }
 
     #[test]
     fn lookup_misses_count_nothing() {
         let mut s = Store::in_memory();
         assert!(s.lookup(&key(1)).is_none());
-        assert_eq!(s.hits(), 0);
         assert_eq!(s.misses(), 0);
     }
 
@@ -455,13 +416,13 @@ mod tests {
         let dir = scratch_dir("roundtrip");
         {
             let mut s = Store::on_disk(&dir);
-            s.get_or_run(&key(42), || dummy(42));
+            s.insert(&key(42), dummy(42));
         }
         {
             let mut s = Store::on_disk(&dir);
-            let r = s.get_or_run(&key(42), || panic!("should load from disk"));
+            let r = s.lookup(&key(42)).expect("should load from disk");
             assert_eq!(r.cycles, 42);
-            assert_eq!(s.hits(), 1);
+            assert_eq!(s.misses(), 0);
             assert!(s.quarantined().is_empty());
         }
         let _ = fs::remove_dir_all(&dir);
@@ -489,7 +450,7 @@ mod tests {
         let path = dir.join(Store::file_name(&key(3).to_string()));
         fs::write(&path, dummy(3).to_json().dump()).unwrap();
         let mut s = Store::on_disk(&dir);
-        let r = s.get_or_run(&key(3), || panic!("legacy file should load"));
+        let r = s.lookup(&key(3)).expect("legacy file should load");
         assert_eq!(r.cycles, 3);
         assert!(s.quarantined().is_empty());
         let _ = fs::remove_dir_all(&dir);
@@ -508,8 +469,8 @@ mod tests {
         fs::write(&path, &text[..text.len() / 2]).unwrap();
 
         let mut s = Store::on_disk(&dir);
-        let r = s.get_or_run(&k, || dummy(77));
-        assert_eq!(r.cycles, 77, "corrupt entry must be resimulated");
+        assert!(s.lookup(&k).is_none(), "corrupt entry must read as absent");
+        s.insert(&k, dummy(77));
         assert_eq!(s.quarantined().len(), 1);
         let q = &s.quarantined()[0];
         assert_eq!(q.key, k);
@@ -537,8 +498,7 @@ mod tests {
         fs::write(&path, text).unwrap();
 
         let mut s = Store::on_disk(&dir);
-        let r = s.get_or_run(&k, || dummy(42));
-        assert_eq!(r.cycles, 42);
+        assert!(s.lookup(&k).is_none());
         assert!(matches!(
             s.quarantined()[0].error,
             StoreError::Checksum { .. }

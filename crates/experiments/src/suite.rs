@@ -4,7 +4,7 @@ use std::collections::HashSet;
 
 use walksteal_multitenant::{
     fairness, weighted_ipc, ChurnReport, GpuConfig, PolicyPreset, RunBudget, ScenarioSpec,
-    SimResult, SimulationBuilder, TenantChurn, TenantResult,
+    SimResult, TenantChurn, TenantResult,
 };
 use walksteal_sim_core::gmean;
 use walksteal_vm::PageSize;
@@ -37,10 +37,12 @@ pub struct ExpContext {
     pub seed: u64,
     /// When true, prints a progress line per fresh simulation.
     pub verbose: bool,
-    /// Worker threads for [`ExpContext::run`] (1 = fully serial).
+    /// Worker threads in the pool that runs the jobs of an
+    /// [`ExpContext::run`] plan (1 = a pool of one thread). A request made
+    /// outside `run` is a single job and uses one.
     pub jobs: usize,
-    /// Watchdog budget applied to every simulation attempt run through the
-    /// engine (unlimited by default).
+    /// Watchdog budget applied to every simulation attempt (unlimited by
+    /// default).
     pub budget: RunBudget,
     /// Deterministic fault injection (`repro --inject-faults`); counters
     /// are consumed as faults fire.
@@ -66,10 +68,12 @@ struct Plan {
     jobs: Vec<Job>,
 }
 
-/// What [`ExpContext`] answers during a plan pass: structurally valid (one
-/// tenant per app, strictly positive rates so every downstream metric is
-/// well-defined) but never observed — the replay pass recomputes every
-/// table from real results.
+/// What [`ExpContext`] answers during a plan pass, and for a dead job:
+/// structurally valid (one tenant per app, strictly positive rates so every
+/// downstream metric is well-defined, and a churn report with every tenant
+/// resident for the whole 1-cycle run, which churn tables read and static
+/// tables ignore) but never observed in a clean run — the replay pass
+/// recomputes every table from real results.
 fn placeholder(apps: &[AppId]) -> SimResult {
     SimResult {
         tenants: apps
@@ -91,40 +95,31 @@ fn placeholder(apps: &[AppId]) -> SimResult {
         cycles: 1,
         events: 0,
         timeline: Vec::new(),
-        churn: None,
+        churn: Some(ChurnReport {
+            tenants: apps
+                .iter()
+                .map(|_| TenantChurn {
+                    arrived: Some(0),
+                    departed: None,
+                    evicted: false,
+                    slo_target: None,
+                    slo_checks: 0,
+                    slo_met: 0,
+                    throttled_checks: 0,
+                    cancelled_walks: 0,
+                    lifetime_instructions: 1,
+                    lifetime_cycles: 1,
+                })
+                .collect(),
+            evictions: 0,
+            repartitions: 0,
+            throttles: 0,
+        }),
     }
 }
 
-/// The scenario-run placeholder: [`placeholder`] plus a structurally valid
-/// churn report (every tenant resident for the whole 1-cycle run), so churn
-/// tables can read `SimResult::churn` unconditionally during a plan pass.
-fn placeholder_churn(apps: &[AppId]) -> SimResult {
-    let mut r = placeholder(apps);
-    r.churn = Some(ChurnReport {
-        tenants: apps
-            .iter()
-            .map(|_| TenantChurn {
-                arrived: Some(0),
-                departed: None,
-                evicted: false,
-                slo_target: None,
-                slo_checks: 0,
-                slo_met: 0,
-                throttled_checks: 0,
-                cancelled_walks: 0,
-                lifetime_instructions: 1,
-                lifetime_cycles: 1,
-            })
-            .collect(),
-        evictions: 0,
-        repartitions: 0,
-        throttles: 0,
-    });
-    r
-}
-
 impl ExpContext {
-    /// Creates a (serial) context.
+    /// Creates a context with one worker.
     #[must_use]
     pub fn new(scale: Scale, store: Store) -> Self {
         ExpContext {
@@ -157,93 +152,92 @@ impl ExpContext {
             .any(|f| !f.recovered && matches!(f.error, parallel::JobError::Budget(_)))
     }
 
-    /// Whether the engine must take the planned (plan/execute/replay) path:
-    /// always with parallelism, and whenever failure isolation is in play —
-    /// the planned path is where `catch_unwind`, budgets, retries, and
-    /// injected faults live.
-    fn planned(&self) -> bool {
-        self.jobs > 1 || self.faults.is_some() || !self.budget.is_unlimited()
-    }
-
-    /// Runs `f` with the configured parallelism.
+    /// Runs `f` on the pool of [`jobs`](Self::jobs) workers.
     ///
-    /// Plain serial contexts run `f(self)` directly. Otherwise `f` is first
-    /// replayed in *plan* mode — every cache-missing simulation is recorded
-    /// as a [`Job`] and answered with a placeholder — the collected jobs run
-    /// on the work-stealing pool (see [`parallel::run_jobs`]), and `f` runs
-    /// once more against the now-warm cache. Everything `f` returns comes
-    /// from that second pass, so the output is bit-identical to a serial
-    /// run. `f` must request the same simulations on both passes; it can
-    /// read the placeholder results, just not branch the *job set* on them
-    /// (no experiment does — the evaluation matrix is fixed up front).
+    /// `f` is first replayed in *plan* mode — every cache-missing
+    /// simulation is recorded as a [`Job`] and answered with a placeholder
+    /// — the collected jobs run on the pool (see [`parallel::run_jobs`]),
+    /// and `f` runs once more against the now-warm cache. Everything `f`
+    /// returns comes from that second pass, so the output is bit-identical
+    /// whatever the worker count. `f` must request the same simulations on
+    /// both passes; it can read the placeholder results, just not branch
+    /// the *job set* on them (no experiment does — the evaluation matrix is
+    /// fixed up front).
     ///
     /// Job failures survive the pass: a failing job is retried once, a job
     /// dead after the retry is recorded in [`failures`](Self::failures) and
     /// its key answered with a placeholder on the replay, so the suite
-    /// completes with the failures itemized instead of dying.
+    /// completes with the failures itemized instead of dying. An experiment
+    /// function called outside `run` gets the same budget, fault plan and
+    /// failure handling, one job at a time.
     pub fn run<T>(&mut self, f: impl Fn(&mut ExpContext) -> T) -> T {
-        if self.planned() {
-            self.plan = Some(Plan::default());
-            let _ = f(self);
-            let plan = self.plan.take().expect("plan mode set above");
-            // A fully cached plan has nothing to execute: answer it from
-            // the store without touching the pool or the fault plan.
-            if !plan.jobs.is_empty() {
-                let opts = RunOptions {
-                    verbose: self.verbose,
-                    budget: self.budget,
-                    faults: self
-                        .faults
-                        .as_mut()
-                        .map(|s| s.take_plan(plan.jobs.len()))
-                        .unwrap_or_default(),
-                };
-                let report = parallel::run_jobs(&mut self.store, &plan.jobs, self.jobs, &opts);
-                for failure in report.failures {
-                    if !failure.recovered {
-                        self.dead.insert(failure.key.clone());
-                    }
-                    self.failures.push(failure);
-                }
-            }
-        }
+        self.plan = Some(Plan::default());
+        let _ = f(self);
+        let plan = self.plan.take().expect("plan mode set above");
+        self.execute(&plan.jobs);
         f(self)
     }
 
-    fn run_apps(&mut self, key: ExpKey, cfg: GpuConfig, apps: &[AppId]) -> SimResult {
-        if self.dead.contains(&key) {
+    /// Runs `jobs` on the pool under the context's budget and fault plan,
+    /// and records their failures.
+    fn execute(&mut self, jobs: &[Job]) {
+        // A fully cached plan has nothing to execute: answer it from the
+        // store without touching the pool or the fault plan.
+        if jobs.is_empty() {
+            return;
+        }
+        let opts = RunOptions {
+            verbose: self.verbose,
+            budget: self.budget,
+            faults: self
+                .faults
+                .as_mut()
+                .map(|s| s.take_plan(jobs.len()))
+                .unwrap_or_default(),
+        };
+        let report = parallel::run_jobs(&mut self.store, jobs, self.jobs, &opts);
+        for failure in report.failures {
+            if !failure.recovered {
+                self.dead.insert(failure.key.clone());
+            }
+            self.failures.push(failure);
+        }
+    }
+
+    /// Answers one simulation request: with the placeholder for a dead
+    /// job, from the store, by recording the job during a plan pass, or
+    /// else by running it on the pool as a one-job slice.
+    fn request(&mut self, job: Job) -> SimResult {
+        if self.dead.contains(&job.key) {
             // The job failed both attempts; a placeholder keeps the table
             // well-formed (the failure summary marks the affected rows).
-            return placeholder(apps);
+            return placeholder(&job.apps);
+        }
+        if let Some(r) = self.store.lookup(&job.key) {
+            return r;
         }
         if let Some(plan) = &mut self.plan {
-            if let Some(r) = self.store.lookup(&key) {
-                return r;
+            let r = placeholder(&job.apps);
+            if plan.seen.insert(job.key.clone()) {
+                plan.jobs.push(job);
             }
-            if plan.seen.insert(key.clone()) {
-                plan.jobs.push(Job {
-                    key,
-                    cfg,
-                    apps: apps.to_vec(),
-                    seed: self.seed,
-                    scenario: None,
-                });
-            }
-            return placeholder(apps);
+            return r;
         }
-        let seed = self.seed;
-        let verbose = self.verbose;
-        self.store.get_or_run(&key, || {
-            if verbose {
-                eprintln!("  sim: {key}");
-            }
-            SimulationBuilder::new()
-                .config(cfg)
-                .tenants(apps.iter().copied())
-                .seed(seed)
-                .build()
-                .run()
-        })
+        self.execute(std::slice::from_ref(&job));
+        self.store
+            .lookup(&job.key)
+            .unwrap_or_else(|| placeholder(&job.apps))
+    }
+
+    /// A static-tenant-list job for `apps` under `cfg`, at the base seed.
+    fn job(&self, key: ExpKey, cfg: GpuConfig, apps: &[AppId]) -> Job {
+        Job {
+            key,
+            cfg,
+            apps: apps.to_vec(),
+            seed: self.seed,
+            scenario: None,
+        }
     }
 
     /// Runs (or recalls) a churn scenario under `cfg`. The key's apps must
@@ -258,36 +252,12 @@ impl ExpContext {
         spec: &ScenarioSpec,
         seed: u64,
     ) -> SimResult {
-        if self.dead.contains(&key) {
-            return placeholder_churn(&key.apps());
-        }
-        if let Some(plan) = &mut self.plan {
-            if let Some(r) = self.store.lookup(&key) {
-                return r;
-            }
-            if plan.seen.insert(key.clone()) {
-                plan.jobs.push(Job {
-                    apps: key.apps(),
-                    key: key.clone(),
-                    cfg,
-                    seed,
-                    scenario: Some(spec.clone()),
-                });
-            }
-            return placeholder_churn(&key.apps());
-        }
-        let verbose = self.verbose;
-        let spec = spec.clone();
-        self.store.get_or_run(&key, || {
-            if verbose {
-                eprintln!("  sim: {key}");
-            }
-            SimulationBuilder::new()
-                .config(cfg)
-                .scenario(spec)
-                .seed(seed)
-                .build()
-                .run()
+        self.request(Job {
+            apps: key.apps(),
+            key,
+            cfg,
+            seed,
+            scenario: Some(spec.clone()),
         })
     }
 
@@ -295,14 +265,14 @@ impl ExpContext {
     pub fn pair(&mut self, preset: PolicyPreset, pair: WorkloadPair) -> SimResult {
         let cfg = self.scale.base_config().for_tenants(2).with_preset(preset);
         let key = ExpKey::pair(preset, pair, self.scale.label(), self.seed);
-        self.run_apps(key, cfg, &pair.apps())
+        self.request(self.job(key, cfg, &pair.apps()))
     }
 
     /// Runs `pair` under a custom configuration (`label` must uniquely
     /// describe the tweaks relative to [`ExpContext::pair`]).
     pub fn pair_with(&mut self, label: &str, cfg: GpuConfig, pair: WorkloadPair) -> SimResult {
         let key = ExpKey::custom(label, pair, self.scale.label(), self.seed);
-        self.run_apps(key, cfg, &pair.apps())
+        self.request(self.job(key, cfg, &pair.apps()))
     }
 
     /// Stand-alone run of `app` on the baseline, with the SM share it would
@@ -323,7 +293,7 @@ impl ExpContext {
             .for_tenants(1)
             .with_preset(PolicyPreset::Baseline);
         let key = ExpKey::solo(app, sms, self.scale.label(), self.seed);
-        self.run_apps(key, cfg, &[app])
+        self.request(self.job(key, cfg, &[app]))
     }
 
     /// The presets a policy sweep should run: `defaults` as-is, or — when
@@ -385,7 +355,7 @@ impl ExpContext {
         }
         let cfg = self.tenant_config(mix.n_tenants(), preset);
         let key = ExpKey::multi(preset, mix.apps(), self.scale.label(), self.seed);
-        self.run_apps(key, cfg, mix.apps())
+        self.request(self.job(key, cfg, mix.apps()))
     }
 
     /// Runs `mix` under a custom configuration (`label` must uniquely
@@ -393,7 +363,7 @@ impl ExpContext {
     /// [`pair_with`](Self::pair_with).
     pub fn mix_with(&mut self, label: &str, cfg: GpuConfig, mix: &WorkloadMix) -> SimResult {
         let key = ExpKey::custom_mix(label, mix.apps(), self.scale.label(), self.seed);
-        self.run_apps(key, cfg, mix.apps())
+        self.request(self.job(key, cfg, mix.apps()))
     }
 }
 
@@ -1310,6 +1280,43 @@ mod tests {
         let got = parallel.run(fig9);
         assert_eq!(expected.to_string(), got.to_string());
         assert_eq!(serial.store.misses(), parallel.store.misses());
+    }
+
+    #[test]
+    fn budget_applies_outside_run() {
+        // A request made outside `run` still runs on the pool under the
+        // context's budget: a blown budget kills the job, and the caller
+        // gets the placeholder and an itemized failure, not a result.
+        let mut ctx = quick_ctx();
+        ctx.budget = RunBudget::unlimited().with_max_events(1_000);
+        let pair = WorkloadPair::new(AppId::Gups, AppId::Mm);
+        assert_eq!(ctx.pair(PolicyPreset::Dws, pair), placeholder(&pair.apps()));
+        assert_eq!(ctx.failures().len(), 1);
+        assert!(!ctx.failures()[0].recovered);
+        assert!(matches!(
+            ctx.failures()[0].error,
+            parallel::JobError::Budget(_)
+        ));
+        assert!(ctx.any_budget_death());
+        assert_eq!(ctx.store.misses(), 0);
+    }
+
+    #[test]
+    fn fault_plan_applies_outside_run() {
+        // ...and under its fault plan: the injected panic is caught, the
+        // retry recovers it, and the caller gets the clean result.
+        let pair = WorkloadPair::new(AppId::Gups, AppId::Mm);
+        let clean = quick_ctx().pair(PolicyPreset::Dws, pair);
+        let mut ctx = quick_ctx();
+        ctx.faults = Some(FaultSpec::parse("panic=1").unwrap());
+        assert_eq!(ctx.pair(PolicyPreset::Dws, pair), clean);
+        assert_eq!(ctx.failures().len(), 1);
+        assert!(ctx.failures()[0].recovered);
+        assert!(matches!(
+            ctx.failures()[0].error,
+            parallel::JobError::Panicked { .. }
+        ));
+        assert!(ctx.faults.as_ref().is_some_and(FaultSpec::exhausted));
     }
 
     #[test]

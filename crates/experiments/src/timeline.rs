@@ -10,10 +10,13 @@
 //! with the `walk` kind enabled the reconstructed `pw_share` values compare
 //! equal (`f64::to_bits`) to the simulator's own.
 //!
-//! [`render`] turns a replay into the terminal timeline `repro --trace`
-//! prints: a per-tenant sparkline of walker occupancy over time (the
-//! pw-share curve) plus an interleave/steal breakdown table.
+//! [`first_mismatch`] is that comparison, the self-check `repro --trace`,
+//! the fuzzer and the tests run. [`render`] turns a replay into the
+//! terminal timeline `repro --trace` prints: a per-tenant sparkline of
+//! walker occupancy over time (the pw-share curve) plus an
+//! interleave/steal breakdown table.
 
+use walksteal_multitenant::SimResult;
 use walksteal_sim_core::trace::TraceEvent;
 use walksteal_sim_core::{Cycle, Json, ShareIntegral, TenantId};
 
@@ -113,9 +116,10 @@ pub fn replay(events: &[TraceEvent]) -> Result<TraceReplay, String> {
         return Err("trace does not begin with a run_start event".into());
     };
     let (n_tenants, n_walkers, seed) = (*n_tenants as usize, *n_walkers as usize, *seed);
-    if n_tenants > usize::from(u8::MAX) + 1 {
+    if n_tenants > TenantId::COUNT {
         return Err(format!(
-            "run_start declares {n_tenants} tenants; a tenant id names at most 256"
+            "run_start declares {n_tenants} tenants; a tenant id names at most {}",
+            TenantId::COUNT
         ));
     }
     let Some(TraceEvent::RunEnd {
@@ -256,6 +260,39 @@ pub fn replay(events: &[TraceEvent]) -> Result<TraceReplay, String> {
     })
 }
 
+/// Compares a replay with the run that recorded the trace: each tenant's
+/// replayed `pw_share`, stolen fraction, mean interleave and mean walk
+/// latency must equal the simulator's own bit for bit (`f64::to_bits`).
+/// Returns the first mismatch, described, or `None` when all agree.
+///
+/// Exact agreement needs the trace to have been recorded with the `walk`
+/// kind enabled.
+#[must_use]
+pub fn first_mismatch(replay: &TraceReplay, result: &SimResult) -> Option<String> {
+    if replay.tenants.len() != result.tenants.len() {
+        return Some(format!(
+            "replayed {} tenants, simulated {}",
+            replay.tenants.len(),
+            result.tenants.len()
+        ));
+    }
+    for (t, (rep, sim)) in replay.tenants.iter().zip(&result.tenants).enumerate() {
+        for (what, got, want) in [
+            ("pw_share", rep.pw_share, sim.pw_share),
+            ("stolen_fraction", rep.stolen_fraction, sim.stolen_fraction),
+            ("mean_interleave", rep.mean_interleave, sim.mean_interleave),
+            ("mean_walk_latency", rep.mean_latency, sim.mean_walk_latency),
+        ] {
+            if got.to_bits() != want.to_bits() {
+                return Some(format!(
+                    "tenant {t} {what}: replayed {got} != simulated {want}"
+                ));
+            }
+        }
+    }
+    None
+}
+
 fn sparkline(values: &[f64], max: f64) -> String {
     values
         .iter()
@@ -344,7 +381,7 @@ mod tests {
     use walksteal_multitenant::{PolicyPreset, RingTracer, SimulationBuilder};
     use walksteal_workloads::AppId;
 
-    fn traced_run(preset: PolicyPreset) -> (Vec<TraceEvent>, walksteal_multitenant::SimResult) {
+    fn traced_run(preset: PolicyPreset) -> (Vec<TraceEvent>, SimResult) {
         let trace = RingTracer::unbounded();
         let result = SimulationBuilder::new()
             .n_sms(4)
@@ -366,31 +403,24 @@ mod tests {
             let replay = replay(&events).expect("trace replays");
             assert_eq!(replay.end_cycle, result.cycles);
             assert_eq!(replay.sim_events, result.events);
-            for (t, tenant) in result.tenants.iter().enumerate() {
-                assert_eq!(
-                    replay.tenants[t].pw_share.to_bits(),
-                    tenant.pw_share.to_bits(),
-                    "{preset:?} tenant {t}: replayed {} vs simulated {}",
-                    replay.tenants[t].pw_share,
-                    tenant.pw_share
-                );
-                assert_eq!(
-                    replay.tenants[t].stolen_fraction.to_bits(),
-                    tenant.stolen_fraction.to_bits(),
-                    "{preset:?} tenant {t} stolen fraction"
-                );
-                assert_eq!(
-                    replay.tenants[t].mean_interleave.to_bits(),
-                    tenant.mean_interleave.to_bits(),
-                    "{preset:?} tenant {t} interleave"
-                );
-                assert_eq!(
-                    replay.tenants[t].mean_latency.to_bits(),
-                    tenant.mean_walk_latency.to_bits(),
-                    "{preset:?} tenant {t} latency"
-                );
-            }
+            assert_eq!(first_mismatch(&replay, &result), None, "{preset:?}");
         }
+    }
+
+    #[test]
+    fn first_mismatch_names_the_first_differing_statistic() {
+        let (events, mut result) = traced_run(PolicyPreset::Dws);
+        let replay = replay(&events).unwrap();
+        result.tenants[1].mean_walk_latency += 1.0;
+        result.tenants[1].stolen_fraction += 1.0;
+        let found = first_mismatch(&replay, &result).expect("a mismatch");
+        assert!(
+            found.starts_with("tenant 1 stolen_fraction: replayed"),
+            "{found}"
+        );
+        result.tenants.pop();
+        let found = first_mismatch(&replay, &result).expect("a mismatch");
+        assert_eq!(found, "replayed 2 tenants, simulated 1");
     }
 
     #[test]

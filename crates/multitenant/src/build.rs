@@ -3,10 +3,13 @@
 //!
 //! [`SimulationBuilder`] is the single public construction path for
 //! simulations. It applies configuration in the canonical order the
-//! experiment suite uses — `for_tenants(n)` first, then the policy preset —
-//! and every run is a [`ScenarioSpec`] underneath: a static tenant list is
-//! the degenerate all-arrive-at-cycle-0 timeline, and
-//! [`scenario`](SimulationBuilder::scenario) attaches a dynamic one.
+//! experiment suite uses — `for_tenants(n)` first, then the policy preset.
+//! A static tenant list runs with no scenario attached and reports no
+//! churn; [`scenario`](SimulationBuilder::scenario) attaches a dynamic
+//! timeline instead. [`ScenarioSpec::static_run`], the degenerate
+//! all-arrive-at-cycle-0 timeline, gives the same per-tenant results as the
+//! plain list plus a churn report (the `static_scenario_is_degenerate` test
+//! pins this).
 //!
 //! # Examples
 //!
@@ -417,6 +420,44 @@ mod tests {
             matches!(err, SimError::InvalidConfig(ConfigError::Scenario(_))),
             "{err}"
         );
+    }
+
+    #[test]
+    fn tenant_count_is_bounded_by_the_tenant_id() {
+        // One SM and one warp per tenant. A tenant list and a scenario
+        // both build and run to completion at 256 tenants, the range of a
+        // `TenantId`, and both get the same typed error at 257.
+        let machine = |n: usize| {
+            SimulationBuilder::new()
+                .config(GpuConfig::default().with_n_sms(n).with_warps_per_sm(1))
+                .instructions_per_warp(100)
+        };
+        let arrivals =
+            |n: usize| (0..n).fold(ScenarioSpec::new(), |spec, _| spec.arrive(0, AppId::Mm));
+        for n in [256, 257] {
+            let list = machine(n).tenants(vec![AppId::Mm; n]).try_build();
+            let scenario = machine(n).scenario(arrivals(n)).try_build();
+            for built in [list, scenario] {
+                match built {
+                    Ok(sim) => {
+                        assert_eq!(n, 256);
+                        let r = sim.run();
+                        assert_eq!(r.tenants.len(), 256);
+                        assert!(r.tenants.iter().all(|t| t.completed_executions > 0));
+                    }
+                    Err(e) => assert_eq!(
+                        (n, e),
+                        (
+                            257,
+                            SimError::InvalidConfig(ConfigError::TooManyTenants {
+                                count: 257,
+                                max: 256
+                            })
+                        )
+                    ),
+                }
+            }
+        }
     }
 
     #[test]

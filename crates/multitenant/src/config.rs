@@ -3,7 +3,7 @@
 
 use walksteal_gpu::SmConfig;
 use walksteal_mem::MemSystemConfig;
-use walksteal_sim_core::ConfigError;
+use walksteal_sim_core::{ConfigError, TenantId};
 use walksteal_vm::{
     ArenaTlbKind, DwsPlusPlusParams, MaskConfig, PageSize, PageTable, Replacement, StealMode,
     TlbConfig, WalkConfig, WalkPolicyKind, MAX_FRAMES, MAX_PARTITIONED_WALKERS, MOSAIC_GROUP,
@@ -188,8 +188,6 @@ pub struct GpuConfig {
     /// the walk queue, not the merge table, is the binding resource (as in
     /// the paper, where the 192-entry walk queue is the named limit).
     pub merge_capacity: usize,
-    /// Cycles between retries when back-pressured.
-    pub retry_interval: u64,
     /// Safety stop: abort the run at this cycle.
     pub max_cycles: u64,
     /// Take a timeline [`Sample`](crate::metrics::Sample) every this many
@@ -217,7 +215,6 @@ impl Default for GpuConfig {
             page_size: PageSize::Small4K,
             instructions_per_warp: 6_000,
             merge_capacity: 512,
-            retry_interval: 8,
             max_cycles: 200_000_000,
             sample_interval: None,
         }
@@ -413,8 +410,9 @@ impl GpuConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `n_sms` is not divisible by `n_tenants`, or walkers cannot
-    /// be split evenly under a partitioned policy; use
+    /// Panics if `n_tenants` is zero or more than [`TenantId::COUNT`],
+    /// `n_sms` is not divisible by it, or walkers cannot be split evenly
+    /// under a partitioned policy; use
     /// [`try_for_tenants`](Self::try_for_tenants) to get a [`ConfigError`]
     /// instead.
     #[must_use]
@@ -425,10 +423,17 @@ impl GpuConfig {
 
     /// Fallible form of [`for_tenants`](Self::for_tenants), so a
     /// CLI-supplied tenant count surfaces as a diagnostic instead of a
-    /// panic.
+    /// panic. Every simulation build passes through here, so this is where
+    /// the tenant count is bounded by what a [`TenantId`] can name.
     pub fn try_for_tenants(mut self, n_tenants: usize) -> Result<Self, ConfigError> {
         if n_tenants == 0 {
             return Err(ConfigError::NoTenants);
+        }
+        if n_tenants > TenantId::COUNT {
+            return Err(ConfigError::TooManyTenants {
+                count: n_tenants,
+                max: TenantId::COUNT,
+            });
         }
         if !self.n_sms.is_multiple_of(n_tenants) {
             return Err(ConfigError::UnevenSplit {

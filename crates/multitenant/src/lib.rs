@@ -58,7 +58,7 @@ pub mod sim;
 
 pub use build::{SimulationBuilder, StreamPipelining, TenantSpec};
 pub use config::{GpuConfig, PolicyPreset};
-pub use metrics::{fairness, total_ipc, weighted_ipc, Sample, SimResult, TenantResult};
+pub use metrics::{fairness, weighted_ipc, Sample, SimResult, TenantResult};
 pub use scenario::{ChurnReport, ScenarioEvent, ScenarioSpec, SloPolicy, TenantChurn};
 pub use sim::Simulation;
 

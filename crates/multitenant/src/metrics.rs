@@ -213,12 +213,6 @@ impl Sample {
     }
 }
 
-/// Total IPC (throughput) of a run.
-#[must_use]
-pub fn total_ipc(run: &SimResult) -> f64 {
-    run.total_ipc()
-}
-
 /// Weighted IPC of `run` given each tenant's stand-alone IPC.
 ///
 /// # Panics
@@ -305,7 +299,7 @@ mod tests {
 
     #[test]
     fn total_ipc_sums() {
-        assert_eq!(total_ipc(&run(&[0.5, 0.7])), 1.2);
+        assert_eq!(run(&[0.5, 0.7]).total_ipc(), 1.2);
     }
 
     #[test]

@@ -259,9 +259,6 @@ impl ScenarioSpec {
         if self.slo.is_some_and(|p| p.check_interval == 0) {
             return err("SLO check_interval must be positive".into());
         }
-        if n > usize::from(u8::MAX) {
-            return err(format!("{n} tenants exceed the {} maximum", u8::MAX));
-        }
 
         // Arrival order must be chronological (it defines tenant indices).
         let arrivals: Vec<u64> = self

@@ -121,6 +121,14 @@ impl fmt::Display for RunDiag {
 pub enum ConfigError {
     /// A simulation was requested with zero tenants.
     NoTenants,
+    /// A simulation was requested with more tenants than a
+    /// [`TenantId`](crate::TenantId) can name.
+    TooManyTenants {
+        /// The requested tenant count.
+        count: usize,
+        /// The most tenants a simulation can hold.
+        max: usize,
+    },
     /// A per-GPU resource cannot be split evenly among the tenants.
     UnevenSplit {
         /// What would have to split ("SMs", "walkers").
@@ -158,6 +166,9 @@ impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ConfigError::NoTenants => write!(f, "need at least one tenant"),
+            ConfigError::TooManyTenants { count, max } => {
+                write!(f, "{count} tenants exceed the {max} a tenant id can name")
+            }
             ConfigError::UnevenSplit {
                 resource,
                 count,

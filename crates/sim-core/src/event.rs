@@ -1,15 +1,15 @@
 //! A deterministic discrete-event queue.
 //!
-//! Simulators schedule work "at cycle N" and repeatedly pop the earliest
-//! pending event. Correct replay requires a *total* order: when several
-//! events land on the same cycle they must come back in insertion order
-//! (FIFO), or two runs of the same seed could diverge.
+//! Simulators schedule work "at cycle N" and repeatedly take the events of
+//! the earliest pending cycle. Correct replay requires a *total* order: when
+//! several events land on the same cycle they must come back in insertion
+//! order (FIFO), or two runs of the same seed could diverge.
 //!
 //! [`EventQueue`] is a bucketed **calendar queue**: a ring of per-cycle FIFO
 //! buckets covering a sliding window of upcoming cycles, with a binary-heap
 //! fallback for the rare event scheduled beyond the window. Simulation
 //! events are overwhelmingly near-future (compute bursts, cache and DRAM
-//! latencies — all far shorter than the window), so push and pop are
+//! latencies — all far shorter than the window), so push and drain are
 //! amortized O(1) instead of the O(log n) a heap pays per memory op.
 //! The previous heap-based implementation, `BinaryHeapQueue`, survives in
 //! this module's tests as the calendar queue's differential oracle.
@@ -68,21 +68,25 @@ impl<T> Ord for FarEntry<T> {
 /// q.push(Cycle(1), "first");
 /// q.push(Cycle(3), "also third");
 ///
-/// assert_eq!(q.pop(), Some((Cycle(1), "first")));
-/// assert_eq!(q.pop(), Some((Cycle(3), "third")));
-/// assert_eq!(q.pop(), Some((Cycle(3), "also third")));
+/// let mut batch = Vec::new();
+/// assert_eq!(q.drain_cycle_into(&mut batch), Some(Cycle(1)));
+/// assert_eq!(batch, ["first"]);
+/// batch.clear();
+/// assert_eq!(q.drain_cycle_into(&mut batch), Some(Cycle(3)));
+/// assert_eq!(batch, ["third", "also third"]);
 /// assert!(q.is_empty());
 /// ```
 pub struct EventQueue<T> {
     /// Ring of FIFO buckets; bucket `c & (BUCKETS-1)` holds the events of
     /// cycle `c` for `c` in the window `[cursor, cursor + BUCKETS)`, in
     /// insertion order. The simulator drains a bucket whole, by swapping its
-    /// storage with the batch buffer; only `pop` takes events off the front.
+    /// storage with the batch buffer.
     buckets: Box<[Vec<T>]>,
     /// Occupancy bitmap: bit `b` of `occ[b / 64]` is set iff bucket `b` is
-    /// non-empty. At typical simulation densities (< 1 event per cycle) the
-    /// pop path would otherwise touch several empty buckets per event; the
-    /// bitmap turns that scan into a couple of word operations.
+    /// non-empty. At typical simulation densities (< 1 event per cycle)
+    /// finding the next cycle would otherwise touch several empty buckets
+    /// per event; the bitmap turns that scan into a couple of word
+    /// operations.
     occ: [u64; BUCKETS / 64],
     /// Summary bitmap: bit `w` is set iff `occ[w]` is non-zero.
     occ_summary: u64,
@@ -182,52 +186,14 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Removes and returns the earliest event; same-cycle events come back
-    /// in insertion order.
-    ///
-    /// Within a tied cycle heap entries come first: an event lands in the
-    /// heap only while its cycle is outside the window, which rules out any
-    /// in-window push at that cycle having come earlier.
-    ///
-    /// A ring pop shifts the rest of its bucket down, so it costs the
-    /// number of events still due that cycle; the simulator drains whole
-    /// cycles through [`drain_cycle_into`](Self::drain_cycle_into) instead.
-    pub fn pop(&mut self) -> Option<(Cycle, T)> {
-        let at = self.next_cycle()?;
-        let c = at.0;
-        if self.far.peek().is_some_and(|f| f.at == at) {
-            let e = self.far.pop().expect("peeked entry");
-            // Drag the window forward so subsequent near-future pushes
-            // take the bucket path again. The popped cycle is <= every
-            // ring event's cycle, so no bucket is left behind.
-            if c > self.cursor {
-                self.cursor = c;
-            }
-            return Some((at, e.payload));
-        }
-        // Ring events are never behind the window, so the earliest cycle
-        // is at or ahead of the cursor.
-        self.cursor = c;
-        let b = (c as usize) & (BUCKETS - 1);
-        let bucket = &mut self.buckets[b];
-        let payload = bucket.remove(0);
-        self.in_ring -= 1;
-        if bucket.is_empty() {
-            self.clear_bit(b);
-        }
-        Some((at, payload))
-    }
-
     /// Removes every event due at the earliest pending cycle, appending
-    /// them to `buf` in the exact order [`pop`](Self::pop) would have
-    /// produced them, and returns that cycle.
+    /// them to `buf` in insertion order, and returns that cycle.
     ///
     /// This is the cycle-batch entry point for the simulator's hot loop:
     /// one cursor/bitmap advance and one heap peek serve the whole cycle
     /// instead of every event paying them. Events pushed *at* the drained
     /// cycle while the caller processes the batch land in the (now empty)
-    /// bucket and come back from the next call, exactly as `pop` would
-    /// interleave them.
+    /// bucket and come back from the next call, after the whole batch.
     ///
     /// When `buf` is empty and the cycle has no heap entries, the bucket's
     /// storage is swapped into `buf` and `buf`'s empty storage becomes the
@@ -238,7 +204,9 @@ impl<T> EventQueue<T> {
     pub fn drain_cycle_into(&mut self, buf: &mut Vec<T>) -> Option<Cycle> {
         let at = self.next_cycle()?;
         let c = at.0;
-        // Heap entries at this cycle are always the oldest (see `pop`).
+        // Heap entries at this cycle are always the oldest: an event lands
+        // in the heap only while its cycle is outside the window, which
+        // rules out any in-window push at that cycle having come earlier.
         while self.far.peek().is_some_and(|f| f.at == at) {
             buf.push(self.far.pop().expect("peeked entry").payload);
         }
@@ -349,16 +317,22 @@ mod tests {
         }
     }
 
+    /// Drains the earliest pending cycle into a fresh batch.
+    fn drain<T>(q: &mut EventQueue<T>) -> Option<(Cycle, Vec<T>)> {
+        let mut buf = Vec::new();
+        q.drain_cycle_into(&mut buf).map(|at| (at, buf))
+    }
+
     #[test]
     fn orders_by_cycle() {
         let mut q = EventQueue::new();
         q.push(Cycle(30), "c");
         q.push(Cycle(10), "a");
         q.push(Cycle(20), "b");
-        assert_eq!(q.pop(), Some((Cycle(10), "a")));
-        assert_eq!(q.pop(), Some((Cycle(20), "b")));
-        assert_eq!(q.pop(), Some((Cycle(30), "c")));
-        assert_eq!(q.pop(), None);
+        assert_eq!(drain(&mut q), Some((Cycle(10), vec!["a"])));
+        assert_eq!(drain(&mut q), Some((Cycle(20), vec!["b"])));
+        assert_eq!(drain(&mut q), Some((Cycle(30), vec!["c"])));
+        assert_eq!(drain(&mut q), None);
     }
 
     #[test]
@@ -367,23 +341,20 @@ mod tests {
         for i in 0..100 {
             q.push(Cycle(7), i);
         }
-        for i in 0..100 {
-            assert_eq!(q.pop(), Some((Cycle(7), i)));
-        }
+        assert_eq!(drain(&mut q), Some((Cycle(7), (0..100).collect())));
     }
 
     #[test]
-    fn interleaved_pushes_and_pops() {
+    fn interleaved_pushes_and_drains() {
         let mut q = EventQueue::new();
         q.push(Cycle(1), 'a');
         q.push(Cycle(3), 'c');
-        assert_eq!(q.pop(), Some((Cycle(1), 'a')));
+        assert_eq!(drain(&mut q), Some((Cycle(1), vec!['a'])));
         q.push(Cycle(2), 'b');
         q.push(Cycle(3), 'd');
-        assert_eq!(q.pop(), Some((Cycle(2), 'b')));
-        assert_eq!(q.pop(), Some((Cycle(3), 'c')));
-        assert_eq!(q.pop(), Some((Cycle(3), 'd')));
-        assert_eq!(q.pop(), None);
+        assert_eq!(drain(&mut q), Some((Cycle(2), vec!['b'])));
+        assert_eq!(drain(&mut q), Some((Cycle(3), vec!['c', 'd'])));
+        assert_eq!(drain(&mut q), None);
     }
 
     #[test]
@@ -395,19 +366,19 @@ mod tests {
         q.push(Cycle(2), ());
         assert!(!q.is_empty());
         assert_eq!(q.len(), 2);
-        q.pop();
+        drain(&mut q);
         assert_eq!(q.len(), 1);
     }
 
     #[test]
-    fn next_cycle_peeks_without_popping() {
+    fn next_cycle_peeks_without_draining() {
         let mut q = EventQueue::new();
         assert_eq!(q.next_cycle(), None);
         q.push(Cycle(9), 1);
         q.push(Cycle(4), 2);
         assert_eq!(q.next_cycle(), Some(Cycle(4)));
         assert_eq!(q.len(), 2);
-        q.pop();
+        drain(&mut q);
         assert_eq!(q.next_cycle(), Some(Cycle(9)));
     }
 
@@ -429,27 +400,10 @@ mod tests {
         q.push(Cycle(3), "near");
         assert_eq!(q.len(), 3);
         assert_eq!(q.next_cycle(), Some(Cycle(3)));
-        assert_eq!(q.pop(), Some((Cycle(3), "near")));
+        assert_eq!(drain(&mut q), Some((Cycle(3), vec!["near"])));
         assert_eq!(q.next_cycle(), Some(Cycle(far)));
-        assert_eq!(q.pop(), Some((Cycle(far), "far")));
-        assert_eq!(q.pop(), Some((Cycle(far), "far2")));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn heap_event_pops_before_same_cycle_ring_event() {
-        // A far-future push lands in the heap; once the window reaches its
-        // cycle, a fresh push at the same cycle lands in a bucket. The heap
-        // event is older and must pop first.
-        let mut q = EventQueue::new();
-        let c = BUCKETS as u64 + 100;
-        q.push(Cycle(c), "old (heap)");
-        // Drain a nearer event to drag the cursor forward to c.
-        q.push(Cycle(c - 1), "nearer");
-        assert_eq!(q.pop(), Some((Cycle(c - 1), "nearer")));
-        q.push(Cycle(c), "new (ring)");
-        assert_eq!(q.pop(), Some((Cycle(c), "old (heap)")));
-        assert_eq!(q.pop(), Some((Cycle(c), "new (ring)")));
+        assert_eq!(drain(&mut q), Some((Cycle(far), vec!["far", "far2"])));
+        assert_eq!(drain(&mut q), None);
     }
 
     #[test]
@@ -457,94 +411,16 @@ mod tests {
         // Same bucket index, different revolutions of the ring.
         let mut q = EventQueue::new();
         q.push(Cycle(5), "rev0");
-        assert_eq!(q.pop(), Some((Cycle(5), "rev0")));
+        assert_eq!(drain(&mut q), Some((Cycle(5), vec!["rev0"])));
         let next_rev = 5 + BUCKETS as u64;
         q.push(Cycle(next_rev), "rev1");
         q.push(Cycle(6), "same rev");
-        assert_eq!(q.pop(), Some((Cycle(6), "same rev")));
-        assert_eq!(q.pop(), Some((Cycle(next_rev), "rev1")));
+        assert_eq!(drain(&mut q), Some((Cycle(6), vec!["same rev"])));
+        assert_eq!(drain(&mut q), Some((Cycle(next_rev), vec!["rev1"])));
     }
 
     #[test]
-    fn pop_accepts_pushes_at_the_current_cycle() {
-        // The simulator pushes zero-latency follow-ups at `now` while
-        // draining `now`; they must come back after already-queued events
-        // of the same cycle.
-        let mut q = EventQueue::new();
-        q.push(Cycle(10), 1);
-        q.push(Cycle(10), 2);
-        assert_eq!(q.pop(), Some((Cycle(10), 1)));
-        q.push(Cycle(10), 3);
-        assert_eq!(q.pop(), Some((Cycle(10), 2)));
-        assert_eq!(q.pop(), Some((Cycle(10), 3)));
-    }
-
-    /// Random pushes and pops against the reference model, comparing every
-    /// observable (popped items, `next_cycle`, `len`) at each step.
-    fn differential_run(seed: u64, ops: usize, horizon: u64) {
-        let mut rng = SimRng::new(seed);
-        let mut calendar = EventQueue::new();
-        let mut reference = BinaryHeapQueue::new();
-        let mut now = 0u64;
-        let mut next_id = 0u64;
-        for _ in 0..ops {
-            if rng.chance(0.6) || calendar.is_empty() {
-                let at = Cycle(now + rng.next_below(horizon));
-                calendar.push(at, next_id);
-                reference.push(at, next_id);
-                next_id += 1;
-            } else {
-                assert_eq!(calendar.next_cycle(), reference.next_cycle());
-                let got = calendar.pop();
-                let want = reference.pop();
-                assert_eq!(got, want);
-                if let Some((at, _)) = got {
-                    assert!(at.0 >= now, "time went backwards");
-                    now = at.0;
-                }
-            }
-            assert_eq!(calendar.len(), reference.len());
-        }
-        // Drain both to the end.
-        loop {
-            let got = calendar.pop();
-            assert_eq!(got, reference.pop());
-            if got.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn matches_reference_model_near_future() {
-        for seed in 0..8 {
-            differential_run(seed, 4_000, 200);
-        }
-    }
-
-    #[test]
-    fn matches_reference_model_across_bucket_wrap() {
-        for seed in 100..104 {
-            differential_run(seed, 4_000, BUCKETS as u64 - 1);
-        }
-    }
-
-    #[test]
-    fn matches_reference_model_with_far_future_spills() {
-        for seed in 200..204 {
-            differential_run(seed, 4_000, BUCKETS as u64 * 3);
-        }
-    }
-
-    #[test]
-    fn matches_reference_model_heavy_same_cycle_ties() {
-        for seed in 300..304 {
-            differential_run(seed, 4_000, 4);
-        }
-    }
-
-    #[test]
-    fn drain_cycle_returns_whole_cycle_in_pop_order() {
+    fn drain_cycle_returns_whole_cycle_in_insertion_order() {
         let mut q = EventQueue::new();
         q.push(Cycle(5), 1);
         q.push(Cycle(5), 2);
@@ -567,19 +443,25 @@ mod tests {
 
     #[test]
     fn drain_cycle_merges_heap_and_ring_heap_first() {
+        // A far-future push lands in the heap; once the window reaches its
+        // cycle, a fresh push at the same cycle lands in a bucket. The heap
+        // event is older and must come first.
         let mut q = EventQueue::new();
         let c = BUCKETS as u64 + 100;
         q.push(Cycle(c), "old (heap)");
+        // Drain a nearer event to drag the cursor forward to c.
         q.push(Cycle(c - 1), "nearer");
-        assert_eq!(q.pop(), Some((Cycle(c - 1), "nearer")));
+        assert_eq!(drain(&mut q), Some((Cycle(c - 1), vec!["nearer"])));
         q.push(Cycle(c), "new (ring)");
-        let mut buf = Vec::new();
-        assert_eq!(q.drain_cycle_into(&mut buf), Some(Cycle(c)));
-        assert_eq!(buf, ["old (heap)", "new (ring)"]);
+        assert_eq!(
+            drain(&mut q),
+            Some((Cycle(c), vec!["old (heap)", "new (ring)"]))
+        );
     }
 
     /// Random pushes and cycle drains against the reference model popped
-    /// one event at a time. About a quarter of the drains keep the previous
+    /// one event at a time, comparing every drained event, `next_cycle` and
+    /// `len` at each step. About a quarter of the drains keep the previous
     /// batches in `buf` (the append path); `buf` must then hold every event
     /// drained since it was last cleared, in reference order.
     fn differential_drain_run(seed: u64, ops: usize, horizon: u64) {
@@ -604,6 +486,7 @@ mod tests {
                     buf.clear();
                     want.clear();
                 }
+                assert_eq!(calendar.next_cycle(), reference.next_cycle());
                 let at = calendar.drain_cycle_into(&mut buf).expect("non-empty");
                 now = at.0;
                 assert!(buf.len() > want.len(), "drained an empty cycle");
@@ -619,6 +502,14 @@ mod tests {
             }
         }
         assert!(appends > 0, "no drain took the append path");
+        // Drain both to the end.
+        buf.clear();
+        while let Some(at) = calendar.drain_cycle_into(&mut buf) {
+            for id in buf.drain(..) {
+                assert_eq!(reference.pop(), Some((at, id)));
+            }
+        }
+        assert_eq!(reference.len(), 0);
     }
 
     #[test]
@@ -631,6 +522,9 @@ mod tests {
         }
         for seed in 408..412 {
             differential_drain_run(seed, 4_000, BUCKETS as u64 * 3);
+        }
+        for seed in 412..416 {
+            differential_drain_run(seed, 4_000, BUCKETS as u64 - 1);
         }
     }
 }

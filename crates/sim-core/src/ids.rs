@@ -86,6 +86,10 @@ impl fmt::Display for Cycle {
 pub struct TenantId(pub u8);
 
 impl TenantId {
+    /// How many distinct tenant ids there are (one per `u8` value): the
+    /// most tenants one simulation can hold.
+    pub const COUNT: usize = 1 << u8::BITS;
+
     /// The tenant id as a `usize`, for indexing per-tenant tables.
     #[must_use]
     pub fn index(self) -> usize {

@@ -34,11 +34,14 @@
 //! q.push(Cycle(5), "five");
 //! q.push(Cycle(10), "ten again");
 //!
-//! assert_eq!(q.pop(), Some((Cycle(5), "five")));
-//! // Same-cycle events come out in insertion order.
-//! assert_eq!(q.pop(), Some((Cycle(10), "ten")));
-//! assert_eq!(q.pop(), Some((Cycle(10), "ten again")));
-//! assert_eq!(q.pop(), None);
+//! let mut batch = Vec::new();
+//! assert_eq!(q.drain_cycle_into(&mut batch), Some(Cycle(5)));
+//! assert_eq!(batch, ["five"]);
+//! // A cycle drains whole, its events in insertion order.
+//! batch.clear();
+//! assert_eq!(q.drain_cycle_into(&mut batch), Some(Cycle(10)));
+//! assert_eq!(batch, ["ten", "ten again"]);
+//! assert_eq!(q.drain_cycle_into(&mut batch), None);
 //! ```
 
 pub mod error;

@@ -22,7 +22,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "== tests (workspace) =="
 cargo test -q --workspace
 
-echo "== determinism: serial vs --jobs 4 =="
+echo "== determinism: one worker vs --jobs 4 =="
 cargo test -q --test determinism
 
 echo "== walkbench: quick workloads against the seed-42 golden digests =="
@@ -33,7 +33,8 @@ cargo test -q --manifest-path walkbench/Cargo.toml
 echo "== fault-injection smoke =="
 # Inject a job panic plus a corrupt cache file into a quick-scale run: the
 # suite must survive (quarantine + retry), exit with code 2, and still print
-# byte-identical tables.
+# byte-identical tables. The clean run uses one worker and the faulted run
+# the default worker count; both run on the same job pool.
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
 ./target/release/repro --quick --jobs 1 --cache "$SMOKE/cache" fig9 > "$SMOKE/clean.txt"
@@ -46,6 +47,26 @@ if [ "$rc" -ne 2 ]; then
 fi
 cmp "$SMOKE/clean.txt" "$SMOKE/faulted.txt"
 test -d "$SMOKE/cache/quick/quarantine"
+
+echo "== simulate smoke =="
+# A machine that cannot host the tenants is a usage error (exit 1, with a
+# diagnostic naming the resource), not a panic: 16 walkers do not split
+# among three tenants under DWS, and 7 SMs do not split between two.
+rc=0
+./target/release/simulate --apps 3DS,BLK,SAD --policy dws --sms 6 --warps 6 --budget 600 \
+  > /dev/null 2> "$SMOKE/walkers.err" || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "simulate smoke: an uneven walker split should exit 1, got $rc" >&2
+  exit 1
+fi
+grep -q "walkers" "$SMOKE/walkers.err"
+rc=0
+./target/release/simulate --apps GUPS,MM --sms 7 > /dev/null 2> "$SMOKE/sms.err" || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "simulate smoke: an uneven SM split should exit 1, got $rc" >&2
+  exit 1
+fi
+grep -q "SMs" "$SMOKE/sms.err"
 
 echo "== n-tenant smoke =="
 # The scenario engine must handle more than two tenants and at least one

@@ -134,24 +134,23 @@ fn main() -> ExitCode {
         eprintln!("--apps is required\n{}", usage());
         return ExitCode::FAILURE;
     }
-    if cfg.n_sms % apps.len() != 0 {
-        eprintln!(
-            "{} SMs cannot split evenly among {} tenants (use --sms)",
-            cfg.n_sms,
-            apps.len()
-        );
-        return ExitCode::FAILURE;
-    }
-
     // The builder applies the tenant count before the preset: S-(TLB+PTW)
     // multiplies walker/queue resources by the tenant count at preset time.
-    let result = SimulationBuilder::new()
+    // A machine that cannot host the tenants (SMs or walkers that do not
+    // split evenly, too many tenants) is a usage error, not a panic.
+    let result = match SimulationBuilder::new()
         .config(cfg)
         .preset(policy)
         .tenants(apps)
         .seed(seed)
-        .build()
-        .run();
+        .run()
+    {
+        Ok(result) => result,
+        Err(e) => {
+            eprintln!("{e}\n{}", usage());
+            return ExitCode::FAILURE;
+        }
+    };
 
     if json {
         println!("{}", result.to_json().pretty());

@@ -99,9 +99,8 @@ pub use walksteal_workloads as workloads;
 /// ```
 pub mod prelude {
     pub use walksteal_multitenant::{
-        fairness, total_ipc, weighted_ipc, ChurnReport, GpuConfig, PolicyPreset, ScenarioEvent,
-        ScenarioSpec, SimResult, Simulation, SimulationBuilder, SloPolicy, TenantChurn,
-        TenantResult, TenantSpec,
+        fairness, weighted_ipc, ChurnReport, GpuConfig, PolicyPreset, ScenarioEvent, ScenarioSpec,
+        SimResult, Simulation, SimulationBuilder, SloPolicy, TenantChurn, TenantResult, TenantSpec,
     };
     pub use walksteal_sim_core::{
         Json, JsonlTracer, MetricsRegistry, NullTracer, RingTracer, RunBudget, SharedMetrics,

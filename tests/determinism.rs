@@ -1,8 +1,12 @@
 //! The parallel experiment engine must be invisible in the output: running
 //! a figure with `--jobs N` has to produce byte-identical tables and the
-//! same cached results as a fully serial run. This is the regression guard
-//! for the plan/execute/replay scheme in `ExpContext::run` and the
-//! canonical-order merge in `parallel::run_jobs`.
+//! same cached results as one worker. Every simulation takes one path: the
+//! "serial" side here calls each figure outside `ExpContext::run`, so each
+//! request runs as a one-job slice, while the parallel side plans the
+//! figure, runs the plan on a pool of N workers that claim jobs from one
+//! shared cursor, and replays it. This is the regression guard for that
+//! plan/execute/replay scheme and the canonical-order merge in
+//! `parallel::run_jobs`.
 
 use walksteal::experiments::suite::{self, ExpContext};
 use walksteal::experiments::{Scale, Store};
@@ -56,7 +60,8 @@ fn fig13_multi_tenant_is_byte_identical_under_parallelism() {
 
 #[test]
 fn oversubscribed_jobs_are_still_deterministic() {
-    // More workers than jobs exercises the idle-worker/steal paths.
+    // More workers requested than there are jobs: the pool caps its size
+    // at the job count.
     let mut serial = serial_ctx();
     let t = suite::tab5(&mut serial);
 

@@ -24,7 +24,7 @@ fn random_vec(rng: &mut SimRng, max_len: u64, bound: u64) -> Vec<u64> {
     (0..len).map(|_| rng.next_below(bound)).collect()
 }
 
-/// Events pop in nondecreasing cycle order, FIFO within a cycle.
+/// Cycles drain in increasing order, each whole and FIFO within it.
 #[test]
 fn event_queue_total_order() {
     let mut rng = SimRng::new(0xE0);
@@ -34,16 +34,27 @@ fn event_queue_total_order() {
         for (i, &t) in times.iter().enumerate() {
             q.push(Cycle(t), i);
         }
-        let mut last: Option<(Cycle, usize)> = None;
-        while let Some((at, id)) = q.pop() {
-            if let Some((lat, lid)) = last {
-                assert!(at >= lat, "case {case}: order violated");
-                if at == lat {
-                    assert!(id > lid, "case {case}: FIFO violated within a cycle");
-                }
-            }
-            last = Some((at, id));
+        let mut prev: Option<Cycle> = None;
+        let mut batch = Vec::new();
+        let mut drained = 0;
+        while let Some(at) = q.drain_cycle_into(&mut batch) {
+            assert!(
+                prev.is_none_or(|p| at > p),
+                "case {case}: cycles out of order or split"
+            );
+            assert!(
+                batch.iter().all(|&id| Cycle(times[id]) == at),
+                "case {case}: event drained off its cycle"
+            );
+            assert!(
+                batch.windows(2).all(|w| w[0] < w[1]),
+                "case {case}: FIFO violated within a cycle"
+            );
+            drained += batch.len();
+            batch.clear();
+            prev = Some(at);
         }
+        assert_eq!(drained, times.len(), "case {case}: events lost");
     }
 }
 
