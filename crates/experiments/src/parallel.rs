@@ -9,9 +9,12 @@
 //! 1. the suite is replayed in *plan* mode to materialize the full job list
 //!    up front (see [`ExpContext::run`](crate::ExpContext::run)),
 //! 2. [`run_jobs`] simulates the jobs on a pool of scoped threads, and
-//! 3. results are merged into the [`Store`] **in canonical job order**, so
-//!    the store — and every table derived from it — is bit-identical to a
-//!    serial run no matter how the pool interleaved the work.
+//! 3. each result goes into the [`Store`] — and its disk cache — the moment
+//!    it arrives, so an interrupted batch keeps every finished simulation.
+//!    Every result is filed under its own key and tables are read back by
+//!    key, so the store — and every table derived from it — is
+//!    bit-identical to a serial run no matter how the pool interleaved the
+//!    work.
 //!
 //! Every simulation the engine runs takes this path: a request made outside
 //! a plan pass runs as a one-job slice, and `--jobs 1` is a pool of one
@@ -270,8 +273,8 @@ fn attempt(
     }
 }
 
-/// Simulates `jobs` on up to `workers` threads and merges the results into
-/// `store` in job order.
+/// Simulates `jobs` on up to `workers` threads, inserting each result into
+/// `store` as it arrives and each recovered retry as it finishes.
 ///
 /// After this returns, the store is indistinguishable from one that ran each
 /// job serially in the given order: identical contents, and identical
@@ -289,8 +292,6 @@ pub fn run_jobs(store: &mut Store, jobs: &[Job], workers: usize, opts: &RunOptio
     );
     let fault_of = |i: usize| opts.faults.get(i).copied().flatten();
     let mut report = RunReport::default();
-    let mut results: Vec<Option<SimResult>> = vec![None; jobs.len()];
-    let mut first_errors: Vec<Option<JobError>> = vec![None; jobs.len()];
 
     // Workers claim jobs from one shared cursor, so an idle worker always
     // takes the next unclaimed job. The cursor only hands out indices into
@@ -298,7 +299,7 @@ pub fn run_jobs(store: &mut Store, jobs: &[Job], workers: usize, opts: &RunOptio
     // `Relaxed` suffices: `fetch_add` alone makes every claim unique.
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, Result<SimResult, JobError>)>();
-    std::thread::scope(|s| {
+    let first_errors = std::thread::scope(|s| {
         for _ in 0..workers.max(1).min(jobs.len()) {
             let (tx, next) = (tx.clone(), &next);
             s.spawn(move || loop {
@@ -313,15 +314,7 @@ pub fn run_jobs(store: &mut Store, jobs: &[Job], workers: usize, opts: &RunOptio
             });
         }
         drop(tx);
-        for (done, (i, r)) in rx.into_iter().enumerate() {
-            if opts.verbose {
-                eprintln!("  sim [{}/{}]: {}", done + 1, jobs.len(), jobs[i].key);
-            }
-            match r {
-                Ok(r) => results[i] = Some(r),
-                Err(e) => first_errors[i] = Some(e),
-            }
-        }
+        collect(store, jobs, rx, opts.verbose)
     });
 
     // One bounded retry per failed job: serial, on the caller's thread, and
@@ -339,7 +332,7 @@ pub fn run_jobs(store: &mut Store, jobs: &[Job], workers: usize, opts: &RunOptio
         );
         match attempt(job, None, &opts.budget) {
             Ok(r) => {
-                results[i] = Some(r);
+                store.insert(&job.key, r);
                 report.failures.push(JobFailure {
                     key: job.key.clone(),
                     seed: job.seed,
@@ -361,14 +354,29 @@ pub fn run_jobs(store: &mut Store, jobs: &[Job], workers: usize, opts: &RunOptio
         }
     }
 
-    // Merge in canonical (job-list) order, not completion order. Dead jobs
-    // simply contribute nothing.
-    for (job, r) in jobs.iter().zip(results) {
-        if let Some(r) = r {
-            store.insert(&job.key, r);
+    report
+}
+
+/// Inserts each `(job index, outcome)` result into `store` as `rx` delivers
+/// it, so the disk cache holds every finished job even if the batch is cut
+/// short; returns each job's first error, for the retry pass.
+fn collect(
+    store: &mut Store,
+    jobs: &[Job],
+    rx: mpsc::Receiver<(usize, Result<SimResult, JobError>)>,
+    verbose: bool,
+) -> Vec<Option<JobError>> {
+    let mut first_errors: Vec<Option<JobError>> = vec![None; jobs.len()];
+    for (done, (i, r)) in rx.into_iter().enumerate() {
+        if verbose {
+            eprintln!("  sim [{}/{}]: {}", done + 1, jobs.len(), jobs[i].key);
+        }
+        match r {
+            Ok(r) => store.insert(&jobs[i].key, r),
+            Err(e) => first_errors[i] = Some(e),
         }
     }
-    report
+    first_errors
 }
 
 #[cfg(test)]
@@ -490,6 +498,46 @@ mod tests {
         assert!(report.failures[0].recovered);
         assert!(matches!(report.failures[0].error, JobError::Budget(_)));
         assert!(!report.any_budget_death());
+    }
+
+    /// A result reaches the disk cache when it arrives, not after the
+    /// batch: with job 0 still outstanding, job 1's file is already there.
+    #[test]
+    fn each_result_is_cached_as_it_arrives() {
+        let dir = std::env::temp_dir().join(format!("walksteal-collect-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let jobs = tiny_jobs(2);
+        let result = |cycles| SimResult {
+            tenants: vec![],
+            cycles,
+            events: 0,
+            timeline: vec![],
+            churn: None,
+        };
+        let cached = |key: &ExpKey| Store::on_disk(&dir).lookup(key);
+        let mut store = Store::on_disk(&dir);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|s| {
+            let collector = s.spawn(|| collect(&mut store, &jobs, rx, false));
+            tx.send((1, Ok(result(11)))).unwrap();
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while cached(&jobs[1].key).is_none() {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "job 1 never reached the disk cache"
+                );
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            assert!(cached(&jobs[0].key).is_none(), "job 0 has not been sent");
+            tx.send((0, Ok(result(10)))).unwrap();
+            drop(tx);
+            let errors = collector.join().unwrap();
+            assert!(errors.iter().all(Option::is_none));
+        });
+        assert_eq!(store.misses(), 2);
+        assert_eq!(cached(&jobs[0].key), Some(result(10)));
+        assert_eq!(cached(&jobs[1].key), Some(result(11)));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

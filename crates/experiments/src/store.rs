@@ -335,8 +335,8 @@ impl Store {
     /// Records a freshly simulated result, counting it as a miss.
     ///
     /// This is the merge half of the experiment engine: workers simulate
-    /// cache-missing jobs off-thread and the engine inserts the results in
-    /// canonical job order.
+    /// cache-missing jobs off-thread and the engine inserts each result as
+    /// it arrives, so the disk cache keeps every finished job.
     pub fn insert(&mut self, key: &ExpKey, r: SimResult) {
         self.misses += 1;
         self.persist(key, &r);

@@ -66,10 +66,8 @@ impl SmState {
         SmState {
             tenant,
             issue: IssueServer::new(),
-            // An SM belongs to exactly one tenant under spatial
-            // multi-tenancy, but the TLB type tracks per-tenant occupancy,
-            // so size the tracking array by tenant id.
-            l1_tlb: Tlb::new(cfg.l1_tlb, tenant.index() + 1),
+            // Nothing reads an L1's occupancy share, so it integrates none.
+            l1_tlb: Tlb::untracked(cfg.l1_tlb),
             l1_cache: Cache::new(cfg.l1_cache),
             outstanding_tlb_misses: 0,
             cfg,
@@ -95,7 +93,9 @@ impl SmState {
 
     /// Resolves a run of same-cycle L1 TLB probes in one pass, stopping
     /// after the first miss; returns how many probes were consumed (see
-    /// [`Tlb::probe_run`]).
+    /// [`Tlb::probe_run`]). Only the benchmark's L1-TLB replay calls it;
+    /// the simulator probes one reference at a time through
+    /// [`probe_l1_tlb`](Self::probe_l1_tlb).
     pub fn probe_l1_tlb_run(&mut self, vpns: &[Vpn], out: &mut Vec<Option<Ppn>>) -> usize {
         self.l1_tlb.probe_run(self.tenant, vpns, out)
     }

@@ -62,7 +62,10 @@ pub struct Cache {
     cfg: CacheConfig,
     /// Resident line tags, struct-of-arrays: a set probe compares `ways`
     /// contiguous words. Validity is implicit — `last_use[i] > 0` — since
-    /// the tick counter starts at 1 and every fill/touch stamps it.
+    /// the tick counter starts at 1 and every fill/touch stamps it. Both
+    /// arrays stay empty until the first fill, so building a cache touches
+    /// no line memory: a probe of an empty cache misses through the same
+    /// bounds check that guards a filled one.
     tags: Vec<u64>,
     last_use: Vec<u64>,
     tick: u64,
@@ -80,8 +83,8 @@ impl Cache {
         assert!(cfg.ways > 0, "ways must be positive");
         Cache {
             cfg,
-            tags: vec![INVALID_TAG; cfg.sets * cfg.ways],
-            last_use: vec![0; cfg.sets * cfg.ways],
+            tags: Vec::new(),
+            last_use: Vec::new(),
             tick: 0,
         }
     }
@@ -100,7 +103,8 @@ impl Cache {
         let start = range.start;
         // One tag compare per way: invalid ways hold `INVALID_TAG`, which
         // no probed line can equal, so `last_use` stays untouched here.
-        self.tags[range]
+        self.tags
+            .get(range)?
             .iter()
             .position(|&t| t == line.0)
             .map(|i| start + i)
@@ -136,6 +140,10 @@ impl Cache {
             return None;
         }
 
+        if self.tags.is_empty() {
+            self.tags = vec![INVALID_TAG; self.cfg.lines()];
+            self.last_use = vec![0; self.cfg.lines()];
+        }
         // First minimum of last_use; invalid ways carry 0, so they win
         // exactly as the old `min_by_key` with an explicit valid check did.
         let range = self.set_range(line);

@@ -6,7 +6,8 @@ use walksteal_mem::MemSystemConfig;
 use walksteal_sim_core::{ConfigError, TenantId};
 use walksteal_vm::{
     ArenaTlbKind, DwsPlusPlusParams, MaskConfig, PageSize, PageTable, Replacement, StealMode,
-    TlbConfig, WalkConfig, WalkPolicyKind, MAX_FRAMES, MAX_PARTITIONED_WALKERS, MOSAIC_GROUP,
+    TlbConfig, WalkConfig, WalkPolicyKind, MAX_FRAMES, MAX_PARTITIONED_WALKERS, MAX_WALKERS,
+    MOSAIC_GROUP,
 };
 use walksteal_workloads::{synth, AppProfile};
 
@@ -227,8 +228,9 @@ impl GpuConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the resulting partitioned policy cannot split the walkers
-    /// evenly among the already-set tenant count; use
+    /// Panics if the resulting walker count is 0 or above [`MAX_WALKERS`],
+    /// the walk queue has no entry, or a partitioned policy cannot split
+    /// the walkers evenly among the already-set tenant count; use
     /// [`try_with_preset`](Self::try_with_preset) to get a [`ConfigError`]
     /// instead.
     #[must_use]
@@ -314,10 +316,19 @@ impl GpuConfig {
         Ok(self)
     }
 
-    /// Partitioned policies hand each tenant a fixed walker share, so the
-    /// walker count must divide evenly and fit the scheduler's
+    /// Every policy needs 1 to [`MAX_WALKERS`] walkers and a walk queue.
+    /// Partitioned policies also hand each tenant a fixed walker share, so
+    /// the walker count must divide evenly and fit the scheduler's
     /// [`MAX_PARTITIONED_WALKERS`]; other organizations don't care.
     fn check_walker_split(&self, n_tenants: usize) -> Result<(), ConfigError> {
+        let (count, queue_entries) = (self.walk.n_walkers, self.walk.queue_entries);
+        if count == 0 || count > MAX_WALKERS || queue_entries == 0 {
+            return Err(ConfigError::Walkers {
+                count,
+                queue_entries,
+                max: MAX_WALKERS,
+            });
+        }
         if !matches!(self.walk.policy, WalkPolicyKind::Partitioned(_)) {
             return Ok(());
         }
@@ -359,18 +370,13 @@ impl GpuConfig {
     }
 
     /// Sets the L2 TLB to `entries` total entries, keeping 16-way
-    /// associativity (Fig. 12 sweeps 512 / 1024 / 2048).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is not a multiple of 16 with a power-of-two set
-    /// count.
+    /// associativity (Fig. 12 sweeps 512 / 1024 / 2048). `entries / 16`
+    /// must be a power of two; [`try_for_tenants`](Self::try_for_tenants)
+    /// rejects any other count.
     #[must_use]
     pub fn with_l2_tlb_entries(mut self, entries: usize) -> Self {
-        let sets = entries / 16;
-        assert!(sets.is_power_of_two(), "L2 TLB sets must be a power of two");
         self.l2_tlb = TlbConfig {
-            sets,
+            sets: entries / 16,
             ways: 16,
             replacement: self.l2_tlb.replacement,
         };
@@ -411,7 +417,9 @@ impl GpuConfig {
     /// # Panics
     ///
     /// Panics if `n_tenants` is zero or more than [`TenantId::COUNT`],
-    /// `n_sms` is not divisible by it, or walkers cannot be split evenly
+    /// `n_sms` is not divisible by it, the L2 TLB's set count is not a
+    /// power of two, the walk subsystem has no walker, more than
+    /// [`MAX_WALKERS`] or no queue entry, or walkers cannot be split evenly
     /// under a partitioned policy; use
     /// [`try_for_tenants`](Self::try_for_tenants) to get a [`ConfigError`]
     /// instead.
@@ -440,6 +448,14 @@ impl GpuConfig {
                 resource: "SMs",
                 count: self.n_sms,
                 n_tenants,
+            });
+        }
+        let TlbConfig { sets, ways, .. } = self.l2_tlb;
+        if !sets.is_power_of_two() || ways == 0 {
+            return Err(ConfigError::TlbGeometry {
+                what: "L2 TLB",
+                sets,
+                ways,
             });
         }
         self.check_walker_split(n_tenants)?;
@@ -662,6 +678,48 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("divide evenly"), "{err}");
+    }
+
+    #[test]
+    fn try_for_tenants_rejects_a_tlb_that_cannot_be_built() {
+        // 100 entries are 6 sets of 16 ways; the setter stores them and
+        // the check turns them into an error instead of a panic.
+        let err = GpuConfig::default()
+            .with_l2_tlb_entries(100)
+            .try_for_tenants(2)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::TlbGeometry {
+                what: "L2 TLB",
+                sets: 6,
+                ways: 16,
+            }
+        );
+        assert!(err.to_string().contains("TLB"), "{err}");
+        assert!(GpuConfig::default()
+            .with_l2_tlb_entries(2048)
+            .try_for_tenants(2)
+            .is_ok());
+    }
+
+    #[test]
+    fn try_for_tenants_rejects_walker_counts_the_walk_layer_cannot_hold() {
+        for walkers in [0, MAX_WALKERS + 1] {
+            let err = GpuConfig::default()
+                .with_walkers(walkers)
+                .try_for_tenants(1)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ConfigError::Walkers {
+                    count: walkers,
+                    queue_entries: walkers * 12,
+                    max: MAX_WALKERS,
+                }
+            );
+            assert!(err.to_string().contains("walkers"), "{err}");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use walksteal_sim_core::{
 use walksteal_vm::{
     walk::WalkContext, ArenaTlb, FrameAlloc, MaskState, PageTable, Tlb, WalkRequest, WalkSubsystem,
 };
-use walksteal_workloads::{AppId, AppProfile, WarpStream};
+use walksteal_workloads::{AppId, AppProfile, TenantStream, WarpCursor, MAX_DIVERGENCE};
 
 use crate::config::GpuConfig;
 use crate::metrics::{Sample, SimResult, TenantResult};
@@ -70,13 +70,15 @@ const _: () = assert!(
     "Event payload grew past 8 bytes; keep the hot-loop event small"
 );
 
-/// Per-warp runtime state.
+/// Per-warp runtime state: only what every event of the warp touches. The
+/// warp's stream position is its [`WarpCursor`] and its memory
+/// instruction's references are its slots in [`Simulation::slots`].
+#[derive(Debug, Clone, Copy, Default)]
 struct Warp {
-    stream: WarpStream,
-    /// Coalesced references queued for issue at the end of the compute burst.
-    pending: Vec<MemRef>,
     /// References of the in-flight memory instruction still outstanding.
-    outstanding: usize,
+    outstanding: u8,
+    /// References the memory instruction issues (its filled slots).
+    refs: u8,
     /// Whether this warp exhausted its execution budget and is waiting for
     /// the rest of its tenant's warps.
     finished: bool,
@@ -113,6 +115,19 @@ pub struct Simulation {
     /// indexes this constantly and a flat vector keeps it one bounds check
     /// and no pointer chase.
     warps: Vec<Warp>,
+    /// Each warp's stream position, indexed like `warps`.
+    cursors: Vec<WarpCursor>,
+    /// What a tenant's warps share of their streams: one per tenant.
+    streams: Vec<TenantStream>,
+    /// The coalesced references of every warp's current memory
+    /// instruction: warp `wi` owns `slots[wi * slot_stride..][..slot_stride]`.
+    slots: Vec<MemRef>,
+    /// Slots per warp: the largest tenant divergence.
+    slot_stride: usize,
+    /// Events due at the current cycle, in push order: the next batch of
+    /// this cycle. Pushing them here skips the event ring; construction
+    /// seeds it with every warp's first `WarpStart`.
+    ready: Vec<Event>,
     tenants: Vec<Tenant>,
     /// The L2 TLB, in the organization the preset selected: shared,
     /// per-tenant private (S-TLB), or a policy-arena design.
@@ -135,10 +150,6 @@ pub struct Simulation {
     /// backlog cannot starve another tenant's rare misses.
     parked: Vec<std::collections::VecDeque<Waiter>>,
     parked_rr: usize,
-    /// Reusable same-cycle TLB batch buffers for `on_warp_mem`: the probed
-    /// VPNs of a warp's coalesced references and their probe results.
-    vpn_batch: Vec<Vpn>,
-    tlb_batch: Vec<Option<Ppn>>,
     /// The next `events_processed` boundary (a 64 Ki multiple) at which the
     /// wall-clock budget is sampled; batched counting can jump past a
     /// boundary, so the check compares against this instead of testing
@@ -187,37 +198,43 @@ impl Simulation {
         );
         let n_tenants = profiles.len();
         let sms_per_tenant = cfg.n_sms / n_tenants;
+        let slot_stride = profiles.iter().map(|p| p.divergence).max().unwrap_or(1);
+        // `check_profiles` bounds every divergence; the warp record counts
+        // references in a `u8`.
+        assert!(
+            slot_stride <= MAX_DIVERGENCE,
+            "divergence above a warp's {MAX_DIVERGENCE} threads"
+        );
 
+        let streams: Vec<TenantStream> = profiles
+            .iter()
+            .enumerate()
+            .map(|(t, &p)| {
+                let seed = seed ^ (0x9E37 * (t as u64 + 1));
+                TenantStream::new(p, seed, cfg.instructions_per_warp)
+            })
+            .collect();
+        let n_warps = cfg.n_sms * cfg.warps_per_sm;
         let mut sms = Vec::with_capacity(cfg.n_sms);
-        let mut warps = Vec::with_capacity(cfg.n_sms * cfg.warps_per_sm);
-        let mut events = EventQueue::new();
+        let mut cursors = Vec::with_capacity(n_warps);
+        let mut ready = Vec::with_capacity(n_warps);
         for sm in 0..cfg.n_sms {
             let tenant = TenantId((sm / sms_per_tenant) as u8);
             sms.push(SmState::new(cfg.sm, tenant));
+            let local_sm = sm % sms_per_tenant;
             for w in 0..cfg.warps_per_sm {
-                let local_sm = sm % sms_per_tenant;
                 let warp_index = (local_sm * cfg.warps_per_sm + w) as u64;
-                let stream = WarpStream::new(
-                    profiles[tenant.index()],
-                    seed ^ (0x9E37 * (tenant.index() as u64 + 1)),
-                    warp_index,
-                    cfg.instructions_per_warp,
-                );
-                warps.push(Warp {
-                    stream,
-                    pending: Vec::new(),
-                    outstanding: 0,
-                    finished: false,
+                cursors.push(streams[tenant.index()].cursor(warp_index));
+                ready.push(Event::WarpStart {
+                    sm: sm as u16,
+                    warp: w as u16,
                 });
-                events.push(
-                    Cycle::ZERO,
-                    Event::WarpStart {
-                        sm: sm as u16,
-                        warp: w as u16,
-                    },
-                );
             }
         }
+        let no_ref = MemRef {
+            vpn: Vpn(0),
+            line_in_page: 0,
+        };
 
         let tenants = profiles
             .iter()
@@ -255,7 +272,12 @@ impl Simulation {
             mem: MemSystem::new(cfg.mem),
             mask: cfg.mask.map(|m| MaskState::new(m, n_tenants)),
             sms,
-            warps,
+            warps: vec![Warp::default(); n_warps],
+            cursors,
+            streams,
+            slots: vec![no_ref; n_warps * slot_stride],
+            slot_stride,
+            ready,
             tenants,
             l2,
             page_tables,
@@ -268,11 +290,9 @@ impl Simulation {
                 .map(|_| std::collections::VecDeque::new())
                 .collect(),
             parked_rr: 0,
-            vpn_batch: Vec::new(),
-            tlb_batch: Vec::new(),
             next_wall_check: next_wall_boundary(0),
             sms_per_tenant,
-            events,
+            events: EventQueue::new(),
             now: Cycle::ZERO,
             events_processed: 0,
             tenants_done: 0,
@@ -307,8 +327,7 @@ impl Simulation {
             self.walk.set_active_tenants(&walker_active);
         }
         if let Some(policy) = self.scenario.as_ref().and_then(|s| s.slo) {
-            self.events
-                .push(Cycle(policy.check_interval), Event::SloCheck);
+            self.schedule(Cycle(policy.check_interval), Event::SloCheck);
         }
     }
 
@@ -333,7 +352,7 @@ impl Simulation {
                     }
                 }
                 Some(&(cycle, _)) => {
-                    self.events.push(Cycle(cycle), Event::ScenarioStep);
+                    self.schedule(Cycle(cycle), Event::ScenarioStep);
                     return;
                 }
                 None => return,
@@ -359,13 +378,10 @@ impl Simulation {
         let sm_base = t * self.sms_per_tenant;
         for sm in sm_base..sm_base + self.sms_per_tenant {
             for warp in 0..self.cfg.warps_per_sm {
-                self.events.push(
-                    now,
-                    Event::WarpStart {
-                        sm: sm as u16,
-                        warp: warp as u16,
-                    },
-                );
+                self.ready.push(Event::WarpStart {
+                    sm: sm as u16,
+                    warp: warp as u16,
+                });
             }
         }
         self.repartition_walkers();
@@ -465,8 +481,7 @@ impl Simulation {
         let Some(sc) = &self.scenario else { return };
         let Some(policy) = sc.slo else { return };
         if !self.stopped {
-            self.events
-                .push(self.now + policy.check_interval, Event::SloCheck);
+            self.schedule(self.now + policy.check_interval, Event::SloCheck);
         }
         let n = self.tenants.len();
 
@@ -560,6 +575,18 @@ impl Simulation {
         sm * self.cfg.warps_per_sm + warp
     }
 
+    /// Schedules `ev` at cycle `at`: on the ready list when it is due at
+    /// the current cycle, else in the event queue. Either way it runs after
+    /// every event scheduled before it for the same cycle.
+    #[inline]
+    fn schedule(&mut self, at: Cycle, ev: Event) {
+        if at == self.now {
+            self.ready.push(ev);
+        } else {
+            self.events.push(at, ev);
+        }
+    }
+
     /// Runs to the stop condition (every tenant completed >= 1 execution)
     /// and returns the collected metrics.
     pub fn run(self) -> SimResult {
@@ -591,22 +618,30 @@ impl Simulation {
             seed,
         });
         if let Some(interval) = self.cfg.sample_interval {
-            self.events.push(Cycle(interval), Event::TakeSample);
+            self.schedule(Cycle(interval), Event::TakeSample);
         }
         let limited = !budget.is_unlimited();
         let started = std::time::Instant::now();
         // Cycle-batched drain: pull every same-cycle event in one queue
         // operation, then dispatch them in the exact order the scalar
-        // per-event loop would have popped them. Events pushed back at the
-        // current cycle land in the (now empty) ring bucket and form the
-        // next batch, preserving FIFO order within the cycle.
+        // per-event loop would have popped them. Events scheduled at the
+        // current cycle while a batch runs collect on the ready list, which
+        // becomes the next batch of the same cycle, preserving FIFO order
+        // within the cycle.
         let max_cycles = self.cfg.max_cycles;
         let mut batch: Vec<Event> = Vec::with_capacity(256);
-        'run: while let Some(at) = self.events.drain_cycle_into(&mut batch) {
-            debug_assert!(at >= self.now, "time went backwards");
-            self.now = at;
-            if at.0 > max_cycles {
-                break;
+        'run: loop {
+            if self.ready.is_empty() {
+                let Some(at) = self.events.drain_cycle_into(&mut batch) else {
+                    break;
+                };
+                debug_assert!(at >= self.now, "time went backwards");
+                self.now = at;
+                if at.0 > max_cycles {
+                    break;
+                }
+            } else {
+                std::mem::swap(&mut batch, &mut self.ready);
             }
             // Budget checks hoist out of the per-event loop: `now` is fixed
             // for the whole batch (the cycle budget can only trip before its
@@ -644,9 +679,10 @@ impl Simulation {
                 if self.stopped {
                     self.events_processed += idx as u64 + 1;
                     // Replicate the scalar loop's final `now`: it pops the
-                    // next event (same cycle if the batch has remainder,
-                    // else the queue's next cycle) before noticing the stop.
-                    if idx + 1 == batch.len() {
+                    // next event (same cycle if the batch has remainder or
+                    // the ready list holds one, else the queue's next cycle)
+                    // before noticing the stop.
+                    if idx + 1 == batch.len() && self.ready.is_empty() {
                         if let Some(c) = self.events.next_cycle() {
                             self.now = c;
                         }
@@ -728,7 +764,7 @@ impl Simulation {
             .cfg
             .sample_interval
             .expect("sample event only scheduled when sampling enabled");
-        self.events.push(self.now + interval, Event::TakeSample);
+        self.schedule(self.now + interval, Event::TakeSample);
     }
 
     fn on_warp_start(&mut self, sm: usize, warp: usize) {
@@ -741,13 +777,14 @@ impl Simulation {
             }
         }
         let wi = self.wi(sm, warp);
-        // Generate the next op directly into the warp's pending buffer —
-        // `next_op_into` emits references already coalesced (distinct, in
-        // first-appearance order), and reusing the buffer keeps this
-        // per-instruction path allocation-free in steady state.
-        let mut refs = std::mem::take(&mut self.warps[wi].pending);
-        let Some(compute) = self.warps[wi].stream.next_op_into(&mut refs) else {
-            self.warps[wi].pending = refs;
+        // Generate the next op straight into the warp's slots: the stream
+        // emits references already coalesced (distinct, in first-appearance
+        // order), and the slots travel in the simulation to keep events
+        // small.
+        let base = wi * self.slot_stride;
+        let slots = &mut self.slots[base..base + self.slot_stride];
+        let Some((compute, n)) = self.streams[tenant.index()].next_op(&mut self.cursors[wi], slots)
+        else {
             self.on_warp_finished(sm, warp, tenant);
             return;
         };
@@ -757,13 +794,11 @@ impl Simulation {
         t.instr_this_exec += instructions;
         t.instr_total += instructions;
 
-        debug_assert!(!refs.is_empty(), "memory op with no references");
+        debug_assert!(n > 0, "memory op with no references");
         let w = &mut self.warps[wi];
-        w.outstanding = refs.len();
-        // Stash the refs by scheduling the memory issue; the refs travel in
-        // the warp state to keep events small.
-        w.pending = refs;
-        self.events.push(
+        w.outstanding = n as u8;
+        w.refs = n as u8;
+        self.schedule(
             end,
             Event::WarpMem {
                 sm: sm as u16,
@@ -780,35 +815,14 @@ impl Simulation {
                 return;
             }
         }
+        // Every coalesced reference of the instruction issues this cycle,
+        // in slot order.
         let wi = self.wi(sm, warp);
-        let refs = std::mem::take(&mut self.warps[wi].pending);
-        let mut vpns = std::mem::take(&mut self.vpn_batch);
-        let mut probed = std::mem::take(&mut self.tlb_batch);
-        // All of a warp's coalesced references probe the L1 TLB this cycle;
-        // resolve them as a batch, one tag pass per hit run. A probe never
-        // mutates tags, but a *miss* can (its translation may return and
-        // fill synchronously), so each batch ends at the first miss and the
-        // remaining references re-batch after the miss is handled — the
-        // per-reference state evolution is exactly `begin_ref`'s.
-        let mut i = 0;
-        while i < refs.len() {
-            vpns.clear();
-            vpns.extend(refs[i..].iter().map(|r| r.vpn));
-            let consumed = self.sms[sm].probe_l1_tlb_run(&vpns, &mut probed);
-            for k in 0..consumed {
-                let r = refs[i + k];
-                match probed[k] {
-                    Some(ppn) => self.data_access(sm, warp, r, ppn, self.now),
-                    None => self.after_l1_miss(sm, warp, r, false),
-                }
-            }
-            i += consumed;
+        let base = wi * self.slot_stride;
+        for k in 0..usize::from(self.warps[wi].refs) {
+            let r = self.slots[base + k];
+            self.begin_ref(sm, warp, r, false);
         }
-        self.vpn_batch = vpns;
-        self.tlb_batch = probed;
-        // Hand the buffer back for the warp's next op (contents are stale
-        // until `next_op_into` clears them).
-        self.warps[wi].pending = refs;
     }
 
     /// Drives one coalesced reference through translation and then data.
@@ -880,8 +894,7 @@ impl Simulation {
                 waiters.push((sm, warp, r));
                 self.merge.insert(key, waiters);
                 if let Some(d) = dispatched {
-                    self.events
-                        .push(d.done_at, Event::WalkerDone { walker: d.walker });
+                    self.schedule(d.done_at, Event::WalkerDone { walker: d.walker });
                 }
             }
             Err(_) => {
@@ -901,8 +914,7 @@ impl Simulation {
         };
         let (done, next) = self.walk.on_walker_done(walker, self.now, &mut ctx);
         if let Some(d) = next {
-            self.events
-                .push(d.done_at, Event::WalkerDone { walker: d.walker });
+            self.schedule(d.done_at, Event::WalkerDone { walker: d.walker });
         }
 
         // Fill the L2 TLB (MASK may veto the shared-TLB fill).
@@ -961,7 +973,7 @@ impl Simulation {
             let access = self.mem.access(line, at + l1_lat, AccessKind::Data);
             at + l1_lat + access.latency
         };
-        self.events.push(
+        self.schedule(
             done_at,
             Event::RefDone {
                 sm: sm as u16,
@@ -976,13 +988,10 @@ impl Simulation {
         debug_assert!(w.outstanding > 0, "ref completion without outstanding refs");
         w.outstanding -= 1;
         if w.outstanding == 0 {
-            self.events.push(
-                self.now,
-                Event::WarpStart {
-                    sm: sm as u16,
-                    warp: warp as u16,
-                },
-            );
+            self.ready.push(Event::WarpStart {
+                sm: sm as u16,
+                warp: warp as u16,
+            });
         }
     }
 
@@ -1022,20 +1031,17 @@ impl Simulation {
 
         // Relaunch (the methodology: keep contention alive until every
         // tenant completes at least once).
-        let sms_per_tenant = self.sms_per_tenant;
-        let sm_base = tenant.index() * sms_per_tenant;
-        for s in sm_base..sm_base + sms_per_tenant {
-            for wi in 0..self.cfg.warps_per_sm {
-                let w = &mut self.warps[s * self.cfg.warps_per_sm + wi];
-                w.finished = false;
-                w.stream.relaunch();
-                self.events.push(
-                    self.now,
-                    Event::WarpStart {
-                        sm: s as u16,
-                        warp: wi as u16,
-                    },
-                );
+        let stream = &self.streams[tenant.index()];
+        let sm_base = tenant.index() * self.sms_per_tenant;
+        for s in sm_base..sm_base + self.sms_per_tenant {
+            for w in 0..self.cfg.warps_per_sm {
+                let wi = s * self.cfg.warps_per_sm + w;
+                self.warps[wi].finished = false;
+                stream.relaunch(&mut self.cursors[wi]);
+                self.ready.push(Event::WarpStart {
+                    sm: s as u16,
+                    warp: w as u16,
+                });
             }
         }
     }
@@ -1321,6 +1327,30 @@ mod tests {
         assert_eq!(diag.events, 500);
         assert_eq!(diag.tenants_total, 2);
         assert!(diag.tenants_done < 2, "run should have been cut short");
+    }
+
+    /// An event budget that runs out inside a ready batch (here the eight
+    /// `WarpStart`s of HS's relaunch at cycle 9692, events 922..930) aborts
+    /// exactly where the event-queue-only loop did: the diagnostic is the
+    /// one that loop reported.
+    #[test]
+    fn event_budget_inside_a_ready_batch_keeps_the_diagnostic() {
+        let err = sim(small_cfg(), &[AppId::Sad, AppId::Hs], 7)
+            .run_budgeted(&RunBudget::unlimited().with_max_events(926))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::BudgetExceeded {
+                kind: BudgetKind::Events,
+                limit: 926,
+                diag: RunDiag {
+                    events: 926,
+                    cycles: 9692,
+                    tenants_done: 1,
+                    tenants_total: 2,
+                },
+            }
+        );
     }
 
     #[test]

@@ -138,6 +138,26 @@ pub enum ConfigError {
         /// The requested tenant count.
         n_tenants: usize,
     },
+    /// A TLB geometry no TLB can be built with: a set count that is not a
+    /// power of two, or no ways.
+    TlbGeometry {
+        /// Which TLB ("L2 TLB").
+        what: &'static str,
+        /// The configured set count.
+        sets: usize,
+        /// The configured associativity.
+        ways: usize,
+    },
+    /// A walk subsystem with no walker, more walkers than it supports, or
+    /// no walk-queue entry.
+    Walkers {
+        /// The configured walker count.
+        count: usize,
+        /// The configured walk-queue entries.
+        queue_entries: usize,
+        /// The most walkers the walk subsystem supports.
+        max: usize,
+    },
     /// A partitioned walker policy asks for more walkers than its
     /// scheduler supports.
     TooManyWalkers {
@@ -176,6 +196,20 @@ impl fmt::Display for ConfigError {
             } => write!(
                 f,
                 "{count} {resource} do not divide evenly among {n_tenants} tenants"
+            ),
+            ConfigError::TlbGeometry { what, sets, ways } => write!(
+                f,
+                "{what} of {sets} sets x {ways} ways: the set count must be a power of two \
+                 and the ways positive"
+            ),
+            ConfigError::Walkers {
+                count,
+                queue_entries,
+                max,
+            } => write!(
+                f,
+                "{count} walkers with {queue_entries} walk-queue entries: \
+                 need 1 to {max} walkers and at least one queue entry"
             ),
             ConfigError::TooManyWalkers { count, max } => write!(
                 f,

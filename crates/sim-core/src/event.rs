@@ -80,8 +80,10 @@ pub struct EventQueue<T> {
     /// Ring of FIFO buckets; bucket `c & (BUCKETS-1)` holds the events of
     /// cycle `c` for `c` in the window `[cursor, cursor + BUCKETS)`, in
     /// insertion order. The simulator drains a bucket whole, by swapping its
-    /// storage with the batch buffer.
-    buckets: Box<[Vec<T>]>,
+    /// storage with the batch buffer. Empty until the first ringed push, so
+    /// creating a queue writes no bucket headers: an access to the empty
+    /// ring fails the bounds check every access pays anyway.
+    buckets: Vec<Vec<T>>,
     /// Occupancy bitmap: bit `b` of `occ[b / 64]` is set iff bucket `b` is
     /// non-empty. At typical simulation densities (< 1 event per cycle)
     /// finding the next cycle would otherwise touch several empty buckets
@@ -109,7 +111,7 @@ impl<T> EventQueue<T> {
     #[must_use]
     pub fn new() -> Self {
         EventQueue {
-            buckets: (0..BUCKETS).map(|_| Vec::new()).collect(),
+            buckets: Vec::new(),
             occ: [0; BUCKETS / 64],
             occ_summary: 0,
             in_ring: 0,
@@ -173,7 +175,13 @@ impl<T> EventQueue<T> {
         let c = at.0;
         if c >= self.cursor && c - self.cursor < BUCKETS as u64 {
             let b = (c as usize) & (BUCKETS - 1);
-            self.buckets[b].push(payload);
+            match self.buckets.get_mut(b) {
+                Some(bucket) => bucket.push(payload),
+                None => {
+                    self.buckets = (0..BUCKETS).map(|_| Vec::new()).collect();
+                    self.buckets[b].push(payload);
+                }
+            }
             self.set_bit(b);
             self.in_ring += 1;
         } else {
@@ -217,7 +225,9 @@ impl<T> EventQueue<T> {
         }
         self.cursor = c;
         let b = (c as usize) & (BUCKETS - 1);
-        let bucket = &mut self.buckets[b];
+        let Some(bucket) = self.buckets.get_mut(b) else {
+            return Some(at);
+        };
         let n = bucket.len();
         if n > 0 {
             self.in_ring -= n;

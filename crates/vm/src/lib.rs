@@ -65,4 +65,5 @@ pub use tlb::{Replacement, Tlb, TlbConfig};
 pub use walk::{
     CompletedWalk, DispatchedWalk, DwsPlusPlusParams, SchedulerImpl, StealMode, WalkConfig,
     WalkPolicyKind, WalkQueueFull, WalkRequest, WalkStats, WalkSubsystem, MAX_PARTITIONED_WALKERS,
+    MAX_WALKERS,
 };

@@ -77,7 +77,10 @@ pub struct Tlb {
     cfg: TlbConfig,
     /// Hot probe tags, struct-of-arrays: a set probe compares `ways`
     /// contiguous VPNs plus `ways` contiguous packed `valid|tenant` words
-    /// instead of striding over 32-byte entries.
+    /// instead of striding over 32-byte entries. All four entry arrays stay
+    /// empty until the first fill, so building a TLB touches no entry
+    /// memory: a probe of an empty TLB misses through the same bounds check
+    /// that guards a filled one.
     keys: Vec<u64>,
     meta: Vec<u16>,
     /// Cold payload, touched only on hit/fill.
@@ -87,8 +90,9 @@ pub struct Tlb {
     hits: u64,
     misses: u64,
     /// Valid entries per tenant, kept incrementally, and their integral
-    /// over time for share reporting.
-    occupancy: ShareIntegral,
+    /// over time for share reporting; `None` for an
+    /// [`untracked`](Self::untracked) TLB.
+    occupancy: Option<ShareIntegral>,
     rng: SimRng,
 }
 
@@ -101,19 +105,35 @@ impl Tlb {
     /// `n_tenants` is zero.
     #[must_use]
     pub fn new(cfg: TlbConfig, n_tenants: usize) -> Self {
-        assert!(cfg.sets.is_power_of_two(), "sets must be a power of two");
-        assert!(cfg.ways > 0, "ways must be positive");
         assert!(n_tenants > 0, "need at least one tenant");
         Tlb {
+            occupancy: Some(ShareIntegral::new(n_tenants, cfg.entries())),
+            ..Tlb::untracked(cfg)
+        }
+    }
+
+    /// Creates an empty TLB that integrates no occupancy: an SM's private
+    /// L1, whose share nobody reads. Lookups, fills, replacement and
+    /// statistics are exactly [`new`](Self::new)'s;
+    /// [`share_of`](Self::share_of) reads 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sets` is not a power of two or `ways` is zero.
+    #[must_use]
+    pub fn untracked(cfg: TlbConfig) -> Self {
+        assert!(cfg.sets.is_power_of_two(), "sets must be a power of two");
+        assert!(cfg.ways > 0, "ways must be positive");
+        Tlb {
             cfg,
-            keys: vec![0; cfg.sets * cfg.ways],
-            meta: vec![0; cfg.sets * cfg.ways],
-            ppns: vec![Ppn(0); cfg.sets * cfg.ways],
-            last_use: vec![0; cfg.sets * cfg.ways],
+            keys: Vec::new(),
+            meta: Vec::new(),
+            ppns: Vec::new(),
+            last_use: Vec::new(),
             tick: 0,
             hits: 0,
             misses: 0,
-            occupancy: ShareIntegral::new(n_tenants, cfg.entries()),
+            occupancy: None,
             rng: SimRng::new(0x71b5_eed0 ^ (cfg.sets * 31 + cfg.ways) as u64),
         }
     }
@@ -132,7 +152,10 @@ impl Tlb {
         // Manual scan with the VPN compare first: it rejects almost every
         // way on its own, and the indexed loop avoids the zip iterator's
         // per-way bounds state (this runs on every translation).
-        let (keys, meta) = (&self.keys[range.clone()], &self.meta[range.clone()]);
+        let (Some(keys), Some(meta)) = (self.keys.get(range.clone()), self.meta.get(range.clone()))
+        else {
+            return None;
+        };
         for i in 0..keys.len() {
             if keys[i] == vpn.0 && meta[i] == want {
                 return Some(range.start + i);
@@ -154,7 +177,9 @@ impl Tlb {
     }
 
     /// Resolves a single-tenant run of probes in one pass over the tag
-    /// arrays, stopping after the first miss: a caller that *fills* on a
+    /// arrays, stopping after the first miss. Only the benchmark's L1-TLB
+    /// replay calls it; the simulator probes one reference at a time
+    /// through [`probe`](Self::probe). A caller that *fills* on a
     /// miss (so later probes could see different tags) batches the leading
     /// hit run and resumes after handling the miss. A probe never mutates
     /// tags, so a consecutive repeat of a hit VPN reuses the way its first
@@ -205,7 +230,9 @@ impl Tlb {
         ppn: Ppn,
         now: Cycle,
     ) -> Option<(TenantId, Vpn)> {
-        self.occupancy.advance(now);
+        if let Some(occ) = &mut self.occupancy {
+            occ.advance(now);
+        }
         self.tick += 1;
         let tick = self.tick;
 
@@ -213,6 +240,13 @@ impl Tlb {
             self.last_use[i] = tick;
             self.ppns[i] = ppn;
             return None;
+        }
+        if self.keys.is_empty() {
+            let n = self.cfg.entries();
+            self.keys = vec![0; n];
+            self.meta = vec![0; n];
+            self.ppns = vec![Ppn(0); n];
+            self.last_use = vec![0; n];
         }
 
         let range = self.set_range(vpn);
@@ -251,14 +285,16 @@ impl Tlb {
         };
         let evicted = (self.meta[victim] & META_VALID != 0)
             .then(|| (TenantId(self.meta[victim] as u8), Vpn(self.keys[victim])));
-        if let Some((t, _)) = evicted {
-            self.occupancy.sub(t, 1);
-        }
         self.keys[victim] = vpn.0;
         self.meta[victim] = META_VALID | u16::from(tenant.0);
         self.ppns[victim] = ppn;
         self.last_use[victim] = tick;
-        self.occupancy.add(tenant, 1);
+        if let Some(occ) = &mut self.occupancy {
+            if let Some((t, _)) = evicted {
+                occ.sub(t, 1);
+            }
+            occ.add(tenant, 1);
+        }
         evicted
     }
 
@@ -268,9 +304,11 @@ impl Tlb {
     /// Returns whether an entry was dropped.
     pub fn invalidate_one(&mut self, tenant: TenantId, vpn: Vpn, now: Cycle) -> bool {
         if let Some(i) = self.find(tenant, vpn) {
-            self.occupancy.advance(now);
             self.meta[i] = 0;
-            self.occupancy.sub(tenant, 1);
+            if let Some(occ) = &mut self.occupancy {
+                occ.advance(now);
+                occ.sub(tenant, 1);
+            }
             true
         } else {
             false
@@ -282,7 +320,6 @@ impl Tlb {
     /// first, so share accounting credits the tenant for exactly the time
     /// its entries were resident. Returns how many entries were dropped.
     pub fn invalidate_tenant(&mut self, tenant: TenantId, now: Cycle) -> usize {
-        self.occupancy.advance(now);
         let want = META_VALID | u16::from(tenant.0);
         let mut dropped = 0;
         for m in &mut self.meta {
@@ -291,21 +328,30 @@ impl Tlb {
                 dropped += 1;
             }
         }
-        self.occupancy.sub(tenant, dropped);
+        if let Some(occ) = &mut self.occupancy {
+            occ.advance(now);
+            occ.sub(tenant, dropped);
+        }
         dropped
     }
 
     /// Current number of valid entries owned by `tenant`.
     #[must_use]
     pub fn occupancy_of(&self, tenant: TenantId) -> usize {
-        self.occupancy.count(tenant)
+        let want = META_VALID | u16::from(tenant.0);
+        match &self.occupancy {
+            Some(occ) => occ.count(tenant),
+            None => self.meta.iter().filter(|&&m| m == want).count(),
+        }
     }
 
     /// Time-averaged fraction of TLB capacity occupied by `tenant` over
-    /// `[0, now]`.
+    /// `[0, now]`; 0 for an [`untracked`](Self::untracked) TLB.
     #[must_use]
     pub fn share_of(&self, tenant: TenantId, now: Cycle) -> f64 {
-        self.occupancy.share(tenant, now)
+        self.occupancy
+            .as_ref()
+            .map_or(0.0, |occ| occ.share(tenant, now))
     }
 
     /// Probe hits since construction.
@@ -490,6 +536,39 @@ mod tests {
         assert!(t.contains(T0, Vpn(0)));
         assert!(!t.contains(T1, Vpn(0)));
         assert_eq!(t.hits(), h);
+    }
+
+    /// An untracked TLB returns, evicts and counts exactly as a tracked
+    /// one; only its share reads 0.
+    #[test]
+    fn untracked_tlb_matches_tracked_but_reports_no_share() {
+        let cfg = TlbConfig {
+            sets: 2,
+            ways: 2,
+            replacement: Replacement::Random,
+        };
+        let (mut tracked, mut untracked) = (Tlb::new(cfg, 2), Tlb::untracked(cfg));
+        let mut rng = SimRng::new(0x17);
+        for i in 0..500 {
+            let (t, vpn) = (TenantId(rng.next_below(2) as u8), Vpn(rng.next_below(12)));
+            if rng.chance(0.5) {
+                assert_eq!(tracked.probe(t, vpn), untracked.probe(t, vpn), "probe {i}");
+            } else {
+                let fill = |tlb: &mut Tlb| tlb.fill(t, vpn, Ppn(vpn.0 + 100), Cycle(i));
+                assert_eq!(fill(&mut tracked), fill(&mut untracked), "fill {i}");
+            }
+            assert_eq!(
+                tracked.occupancy_of(t),
+                untracked.occupancy_of(t),
+                "step {i}"
+            );
+        }
+        assert_eq!(
+            (tracked.hits(), tracked.misses()),
+            (untracked.hits(), untracked.misses())
+        );
+        assert!(tracked.share_of(T0, Cycle(500)) > 0.0);
+        assert_eq!(untracked.share_of(T0, Cycle(500)), 0.0);
     }
 
     #[test]

@@ -438,6 +438,9 @@ impl PartSched {
 /// carries walker ownership masks in `u64`s.
 pub const MAX_PARTITIONED_WALKERS: usize = 64;
 
+/// Most page-table walkers a [`WalkSubsystem`] supports under any policy.
+pub const MAX_WALKERS: usize = 128;
+
 /// Which implementation backs [`WalkPolicyKind::Partitioned`].
 ///
 /// Both implement the same (private) `PartScheduler` contract and make
@@ -1464,7 +1467,10 @@ impl WalkSubsystem {
     #[must_use]
     pub fn with_scheduler_impl(cfg: WalkConfig, imp: SchedulerImpl) -> Self {
         assert!(cfg.n_walkers > 0, "need at least one walker");
-        assert!(cfg.n_walkers <= 128, "at most 128 walkers supported");
+        assert!(
+            cfg.n_walkers <= MAX_WALKERS,
+            "at most 128 walkers supported"
+        );
         assert!(cfg.queue_entries > 0, "need at least one queue entry");
         assert!(cfg.n_tenants > 0, "need at least one tenant");
         let sched = match &cfg.policy {

@@ -31,8 +31,8 @@ pub use apps::{AppId, AppProfile, HotPattern, MpmiClass};
 pub use arrival::{ArrivalProcess, ChurnPlan};
 pub use mixes::{mixes_for, paper_mixes3, paper_mixes4, WorkloadMix, MAX_MIX_TENANTS};
 pub use pairs::{named_pairs, paper_pairs, WorkloadPair};
-pub use stream::{WarpOp, WarpStream};
-pub use synth::synthetic_profile;
+pub use stream::{TenantStream, WarpCursor, WarpOp, WarpStream};
+pub use synth::{synthetic_profile, MAX_DIVERGENCE, MAX_STRIDE_LINES};
 /// Re-exported so callers naming [`WarpOp::refs`]'s element type need not
 /// depend on `walksteal-gpu` directly.
 pub use walksteal_gpu::MemRef;

@@ -32,7 +32,204 @@ impl WarpOp {
     }
 }
 
-/// A deterministic generator of one warp's operations for one execution.
+/// What every warp of one tenant shares: the profile, the execution budget
+/// (after the profile's `length_scale`), the storm phase and the
+/// compute-burst constant. Each warp keeps only its [`WarpCursor`]; the
+/// simulator holds one `TenantStream` per tenant and one cursor per warp,
+/// and a [`WarpStream`] is one of each.
+#[derive(Debug, Clone)]
+pub struct TenantStream {
+    profile: AppProfile,
+    /// The tenant seed's generator, split once per warp.
+    root: SimRng,
+    budget: u64,
+    /// Storm phase offset: warps of one tenant storm together, different
+    /// tenants storm out of phase (derived from the tenant seed).
+    storm_phase: u64,
+    /// `(1 - p).ln()` for the compute-burst geometric draw, hoisted out of
+    /// the per-op loop (`p = 1 / mean_compute`). NaN-free: `p < 1` here;
+    /// `p >= 1` is handled by the `mean_compute <= 1` fast path.
+    geom_ln: f64,
+}
+
+/// One warp's position in its tenant's [`TenantStream`].
+#[derive(Debug, Clone)]
+pub struct WarpCursor {
+    rng: SimRng,
+    /// First page of this warp's cold region.
+    cold_base: u64,
+    /// Sequential/strided cursor within the hot region (page units scaled
+    /// by line cursor).
+    hot_line_cursor: u64,
+    /// Warp operations issued, for storm phase tracking.
+    op_counter: u64,
+    /// Remaining warp instructions in this execution.
+    remaining: u64,
+}
+
+impl WarpCursor {
+    /// Warp instructions still to issue this execution.
+    #[must_use]
+    pub fn remaining(&self) -> u64 {
+        self.remaining
+    }
+}
+
+impl TenantStream {
+    /// The shared part of the streams of a tenant seeded with `seed`, with
+    /// `budget` warp instructions per execution (before the profile's
+    /// `length_scale`).
+    #[must_use]
+    pub fn new(profile: AppProfile, seed: u64, budget: u64) -> Self {
+        let root = SimRng::new(seed);
+        let storm_phase = if profile.storm_every_ops > 0 {
+            // Same phase for every warp of a tenant (they share `seed`).
+            root.clone().next_below(profile.storm_every_ops)
+        } else {
+            0
+        };
+        TenantStream {
+            profile,
+            root,
+            budget: ((budget as f64 * profile.length_scale) as u64).max(1),
+            storm_phase,
+            geom_ln: (1.0 - 1.0 / profile.mean_compute.max(1.0)).ln(),
+        }
+    }
+
+    /// The cursor of warp `warp_index` (globally unique within the tenant).
+    ///
+    /// The *hot* region is shared by every warp of the tenant (tiles and
+    /// stencil neighborhoods really are shared data), so it stays resident
+    /// in the L1s. The *cold* region is private per warp — co-scheduled
+    /// warps with disjoint page working sets are exactly what thrashes the
+    /// TLB (the paper's BLK observation).
+    #[must_use]
+    pub fn cursor(&self, warp_index: u64) -> WarpCursor {
+        let p = &self.profile;
+        let span = p.cold_pages + 1; // +1 guard page of slack
+        WarpCursor {
+            rng: self.root.split(warp_index),
+            cold_base: p.hot_pages + p.warm_pages + warp_index * span,
+            hot_line_cursor: warp_index * 7, // desynchronize hot phases
+            op_counter: 0,
+            remaining: self.budget,
+        }
+    }
+
+    /// The warp-instruction budget of one execution (after scaling).
+    #[must_use]
+    pub fn execution_length(&self) -> u64 {
+        self.budget
+    }
+
+    /// Restarts `cursor` for a fresh execution (the relaunch methodology).
+    /// The random stream continues rather than repeating, as a relaunched
+    /// application would traverse its data afresh.
+    pub fn relaunch(&self, cursor: &mut WarpCursor) {
+        cursor.remaining = self.budget;
+    }
+
+    /// The next operation of the warp at `cursor`: writes its coalesced
+    /// references (distinct, in first-appearance order) to the front of
+    /// `slots` and returns the compute burst and the reference count, or
+    /// `None` once the execution's budget is spent. The sequence is exactly
+    /// what a [`WarpStream`] of the same tenant seed and warp index emits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` is shorter than the profile's `divergence`.
+    pub fn next_op(&self, cur: &mut WarpCursor, slots: &mut [MemRef]) -> Option<(u64, usize)> {
+        if cur.remaining == 0 {
+            return None;
+        }
+        cur.op_counter += 1;
+        let p = &self.profile;
+        let burst = if p.mean_compute <= 1.0 {
+            1
+        } else {
+            cur.rng.next_geometric_ln(self.geom_ln)
+        }
+        .min(cur.remaining.saturating_sub(1).max(1));
+        // Whether the warp is in a miss storm (phase change) this op.
+        let in_storm = p.storm_every_ops > 0
+            && (cur.op_counter + self.storm_phase) % p.storm_every_ops < p.storm_ops;
+        let cold_prob = if in_storm {
+            p.storm_cold_prob
+        } else {
+            p.cold_prob
+        };
+        // Order-preserving dedup without the O(divergence²) scan: a 64-bit
+        // signature of the refs written so far. An unset bit proves the ref
+        // is new; only a set bit (possible collision) falls back to the
+        // exact linear check.
+        let (mut sig, mut n) = (0u64, 0);
+        for _ in 0..p.divergence {
+            let r = next_ref(p, cur, cold_prob);
+            let h =
+                (r.vpn.0 ^ (u64::from(r.line_in_page) << 52)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let bit = 1u64 << (h >> 58);
+            if sig & bit == 0 || !slots[..n].contains(&r) {
+                slots[n] = r;
+                n += 1;
+                sig |= bit;
+            }
+        }
+        cur.remaining = cur.remaining.saturating_sub(burst + 1);
+        Some((burst, n))
+    }
+}
+
+/// One reference of the warp at `cur`: cold, warm or hot by one draw
+/// against `cold_prob` (the storm's or the steady one) and `warm_prob`.
+#[inline]
+fn next_ref(p: &AppProfile, cur: &mut WarpCursor, cold_prob: f64) -> MemRef {
+    let lines = u64::from(LINES_PER_PAGE);
+    let draw = cur.rng.next_f64();
+    let cold = p.cold_pages > 0 && draw < cold_prob;
+    let warm = !cold && p.warm_pages > 0 && draw < cold_prob + p.warm_prob;
+    let (page, line) = if cold {
+        (
+            cur.cold_base + cur.rng.next_below(p.cold_pages),
+            cur.rng.next_below(lines) as u32,
+        )
+    } else if warm {
+        // The tenant-shared warm region starts right after the hot one.
+        (
+            p.hot_pages + cur.rng.next_below(p.warm_pages),
+            cur.rng.next_below(lines) as u32,
+        )
+    } else {
+        // The hot region starts at page 0.
+        match p.hot_pattern {
+            HotPattern::Sequential => {
+                cur.hot_line_cursor += 1;
+                (
+                    (cur.hot_line_cursor / lines) % p.hot_pages,
+                    (cur.hot_line_cursor % lines) as u32,
+                )
+            }
+            HotPattern::Strided(stride) => {
+                cur.hot_line_cursor += stride;
+                (
+                    (cur.hot_line_cursor / lines) % p.hot_pages,
+                    (cur.hot_line_cursor % lines) as u32,
+                )
+            }
+            HotPattern::Random => {
+                let page = cur.rng.next_below(p.hot_pages);
+                (page, cur.rng.next_below(lines) as u32)
+            }
+        }
+    };
+    MemRef {
+        vpn: Vpn(page),
+        line_in_page: line,
+    }
+}
+
+/// A deterministic generator of one warp's operations for one execution:
+/// a [`TenantStream`] and one [`WarpCursor`] of it.
 ///
 /// # Examples
 ///
@@ -48,189 +245,66 @@ impl WarpOp {
 /// ```
 #[derive(Debug, Clone)]
 pub struct WarpStream {
-    profile: AppProfile,
-    rng: SimRng,
+    shared: TenantStream,
+    cursor: WarpCursor,
     seed: u64,
-    /// First page of this warp's hot region.
-    hot_base: u64,
-    /// First page of the tenant-shared warm region.
-    warm_base: u64,
-    /// First page of this warp's cold region.
-    cold_base: u64,
-
-    /// Sequential/strided cursor within the hot region (page units scaled
-    /// by line cursor).
-    hot_line_cursor: u64,
-    /// Warp operations issued, for storm phase tracking.
-    op_counter: u64,
-    /// Storm phase offset: warps of one tenant storm together, different
-    /// tenants storm out of phase (derived from the tenant seed).
-    storm_phase: u64,
-    /// Remaining warp instructions in this execution.
-    remaining: u64,
-    budget: u64,
-    /// `(1 - p).ln()` for the compute-burst geometric draw, hoisted out of
-    /// the per-op loop (`p = 1 / mean_compute`). NaN-free: `p < 1` here;
-    /// `p >= 1` is handled by the `mean_compute <= 1` fast path.
-    geom_ln: f64,
 }
 
 impl WarpStream {
     /// Creates the stream for warp `warp_index` (globally unique within the
     /// tenant) with `budget` warp instructions per execution (before the
-    /// profile's `length_scale`).
-    ///
-    /// The *hot* region is shared by every warp of the tenant (tiles and
-    /// stencil neighborhoods really are shared data), so it stays resident
-    /// in the L1s. The *cold* region is private per warp — co-scheduled
-    /// warps with disjoint page working sets are exactly what thrashes the
-    /// TLB (the paper's BLK observation).
+    /// profile's `length_scale`); see [`TenantStream::cursor`] for the
+    /// address layout.
     #[must_use]
     pub fn new(profile: AppProfile, seed: u64, warp_index: u64, budget: u64) -> Self {
-        let scaled = ((budget as f64 * profile.length_scale) as u64).max(1);
-        let span = profile.cold_pages + 1; // +1 guard page of slack
-        let warm_base = profile.hot_pages;
-        let storm_phase = if profile.storm_every_ops > 0 {
-            // Same phase for every warp of a tenant (they share `seed`).
-            SimRng::new(seed).next_below(profile.storm_every_ops)
-        } else {
-            0
-        };
+        let shared = TenantStream::new(profile, seed, budget);
+        let cursor = shared.cursor(warp_index);
         WarpStream {
-            profile,
-            rng: SimRng::new(seed).split(warp_index),
+            shared,
+            cursor,
             seed,
-            op_counter: 0,
-            storm_phase,
-            hot_base: 0,
-            warm_base,
-            cold_base: warm_base + profile.warm_pages + warp_index * span,
-            hot_line_cursor: warp_index * 7, // desynchronize hot phases
-            remaining: scaled,
-            budget: scaled,
-            geom_ln: (1.0 - 1.0 / profile.mean_compute.max(1.0)).ln(),
         }
     }
 
     /// The warp-instruction budget of one execution (after scaling).
     #[must_use]
     pub fn execution_length(&self) -> u64 {
-        self.budget
+        self.shared.execution_length()
     }
 
     /// Warp instructions still to issue this execution.
     #[must_use]
     pub fn remaining(&self) -> u64 {
-        self.remaining
+        self.cursor.remaining
     }
 
     /// Restarts the stream for a fresh execution (the relaunch methodology).
     /// The random stream continues rather than repeating, as a relaunched
     /// application would traverse its data afresh.
     pub fn relaunch(&mut self) {
-        self.remaining = self.budget;
-    }
-
-    fn hot_page(&mut self) -> u64 {
-        let p = &self.profile;
-        match p.hot_pattern {
-            HotPattern::Sequential => {
-                self.hot_line_cursor += 1;
-                (self.hot_line_cursor / u64::from(LINES_PER_PAGE)) % p.hot_pages
-            }
-            HotPattern::Strided(stride) => {
-                self.hot_line_cursor += stride;
-                (self.hot_line_cursor / u64::from(LINES_PER_PAGE)) % p.hot_pages
-            }
-            HotPattern::Random => self.rng.next_below(p.hot_pages),
-        }
-    }
-
-    /// Whether the warp is currently in a miss storm (phase change).
-    fn in_storm(&self) -> bool {
-        self.profile.storm_every_ops > 0
-            && (self.op_counter + self.storm_phase) % self.profile.storm_every_ops
-                < self.profile.storm_ops
-    }
-
-    fn next_ref(&mut self) -> MemRef {
-        let p = self.profile;
-        let cold_prob = if self.in_storm() {
-            p.storm_cold_prob
-        } else {
-            p.cold_prob
-        };
-        let draw = self.rng.next_f64();
-        let cold = p.cold_pages > 0 && draw < cold_prob;
-        let warm = !cold && p.warm_pages > 0 && draw < cold_prob + p.warm_prob;
-        let (page, line) = if cold {
-            (
-                self.cold_base + self.rng.next_below(p.cold_pages),
-                self.rng.next_below(u64::from(LINES_PER_PAGE)) as u32,
-            )
-        } else if warm {
-            (
-                self.warm_base + self.rng.next_below(p.warm_pages),
-                self.rng.next_below(u64::from(LINES_PER_PAGE)) as u32,
-            )
-        } else {
-            let page = self.hot_base + self.hot_page();
-            let line = match p.hot_pattern {
-                HotPattern::Sequential | HotPattern::Strided(_) => {
-                    (self.hot_line_cursor % u64::from(LINES_PER_PAGE)) as u32
-                }
-                HotPattern::Random => self.rng.next_below(u64::from(LINES_PER_PAGE)) as u32,
-            };
-            (page, line)
-        };
-        MemRef {
-            vpn: Vpn(page),
-            line_in_page: line,
-        }
+        self.shared.relaunch(&mut self.cursor);
     }
 
     /// The next warp operation, or `None` once the execution's instruction
     /// budget is spent (relaunch to continue).
     pub fn next_op(&mut self) -> Option<WarpOp> {
-        let mut refs = Vec::with_capacity(self.profile.divergence);
+        let mut refs = Vec::with_capacity(self.shared.profile.divergence);
         let compute = self.next_op_into(&mut refs)?;
         Some(WarpOp { compute, refs })
     }
 
-    /// Allocation-free variant of [`next_op`](Self::next_op): clears `refs`
-    /// and fills it with the op's coalesced references (distinct, in first
-    /// appearance order), returning the compute burst. The simulator's inner
-    /// loop reuses one buffer per warp through this.
+    /// Allocation-free variant of [`next_op`](Self::next_op): fills `refs`
+    /// with the op's coalesced references (distinct, in first appearance
+    /// order), returning the compute burst.
     pub fn next_op_into(&mut self, refs: &mut Vec<MemRef>) -> Option<u64> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.op_counter += 1;
-        let p = self.profile;
-        let burst = if p.mean_compute <= 1.0 {
-            1
-        } else {
-            self.rng.next_geometric_ln(self.geom_ln)
-        }
-        .min(self.remaining.saturating_sub(1).max(1));
-        refs.clear();
-        // Order-preserving dedup without the O(divergence²) scan: a 64-bit
-        // signature of the refs pushed so far. An unset bit proves the ref is
-        // new; only a set bit (possible collision) falls back to the exact
-        // linear check.
-        let mut sig: u64 = 0;
-        for _ in 0..p.divergence {
-            let r = self.next_ref();
-            let h =
-                (r.vpn.0 ^ (u64::from(r.line_in_page) << 52)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let bit = 1u64 << (h >> 58);
-            if sig & bit == 0 || !refs.contains(&r) {
-                refs.push(r);
-                sig |= bit;
-            }
-        }
-        self.remaining = self.remaining.saturating_sub(burst + 1);
-        Some(burst)
+        let no_ref = MemRef {
+            vpn: Vpn(0),
+            line_in_page: 0,
+        };
+        refs.resize(self.shared.profile.divergence, no_ref);
+        let (compute, n) = self.shared.next_op(&mut self.cursor, refs)?;
+        refs.truncate(n);
+        Some(compute)
     }
 
     /// The seed this stream derives from (for diagnostics).

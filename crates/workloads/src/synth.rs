@@ -13,6 +13,15 @@ use walksteal_sim_core::SimRng;
 
 use crate::apps::{AppId, AppProfile, HotPattern};
 
+/// Most distinct references one memory instruction can coalesce to: one
+/// per thread of a 32-thread warp. The simulator sizes each warp's
+/// reference slots by its tenant's divergence.
+pub const MAX_DIVERGENCE: usize = 32;
+
+/// Longest `Strided` hot-region step, in lines: one 4 KB page of 128-byte
+/// lines.
+pub const MAX_STRIDE_LINES: u64 = 32;
+
 /// Draws one synthetic application profile. Deterministic in the RNG
 /// stream: the same `SimRng` state always yields the same profile.
 ///
@@ -78,9 +87,10 @@ pub fn synthetic_profile(rng: &mut SimRng) -> AppProfile {
 
 /// The structural constraints every profile — calibrated or synthetic —
 /// must satisfy for the warp-stream machinery to behave: non-degenerate
-/// compute/divergence, a non-empty hot region, probabilities in range and
-/// jointly ≤ 1, storms no longer than their period, and hot+warm regions
-/// inside the 1024-page layout bound.
+/// compute, a divergence of 1 to [`MAX_DIVERGENCE`], a hot-region stride
+/// of at most [`MAX_STRIDE_LINES`], a non-empty hot region, probabilities
+/// in range and jointly ≤ 1, storms no longer than their period, and
+/// hot+warm regions inside the 1024-page layout bound.
 pub fn sanity(p: &AppProfile) -> Result<(), String> {
     let fail = |what: &str| Err(format!("profile {}: {what}", p.id));
     if p.mean_compute < 1.0 {
@@ -88,6 +98,19 @@ pub fn sanity(p: &AppProfile) -> Result<(), String> {
     }
     if p.divergence < 1 {
         return fail("divergence < 1");
+    }
+    if p.divergence > MAX_DIVERGENCE {
+        return fail(&format!(
+            "divergence {} > {MAX_DIVERGENCE} (a warp's threads)",
+            p.divergence
+        ));
+    }
+    if let HotPattern::Strided(step) = p.hot_pattern {
+        if step > MAX_STRIDE_LINES {
+            return fail(&format!(
+                "stride {step} > {MAX_STRIDE_LINES} lines (one page)"
+            ));
+        }
     }
     if p.hot_pages < 1 {
         return fail("hot_pages < 1");
@@ -141,6 +164,23 @@ mod tests {
         for app in AppId::ALL {
             sanity(&app.profile()).unwrap();
         }
+    }
+
+    /// A divergence beyond a warp's threads and a stride beyond a page are
+    /// rejected by name; the bounds themselves pass.
+    #[test]
+    fn divergence_and_stride_are_bounded() {
+        let base = AppId::Mm.profile();
+        let with = |divergence, hot_pattern| AppProfile {
+            divergence,
+            hot_pattern,
+            ..base
+        };
+        assert!(sanity(&with(MAX_DIVERGENCE, HotPattern::Strided(MAX_STRIDE_LINES))).is_ok());
+        let err = sanity(&with(MAX_DIVERGENCE + 1, HotPattern::Sequential)).unwrap_err();
+        assert!(err.contains("divergence"), "{err}");
+        let err = sanity(&with(1, HotPattern::Strided(MAX_STRIDE_LINES + 1))).unwrap_err();
+        assert!(err.contains("stride"), "{err}");
     }
 
     /// Same RNG state, same profile — the generator is deterministic.

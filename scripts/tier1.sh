@@ -30,6 +30,13 @@ echo "== walkbench: quick workloads against the seed-42 golden digests =="
 # scale (~3 s) and checks each result digest against its golden.
 cargo test -q --manifest-path walkbench/Cargo.toml
 
+echo "== walkbench: a paper-scale workload against its seed-42 golden digests =="
+# One second of pair_ll at paper scale (a warm-up round plus three measured
+# rounds of 24 simulations): every run's digest must match golden/s42.txt,
+# so a change to paper-scale results fails here, not only in the benchmark.
+cargo run -q --release --manifest-path walkbench/Cargo.toml -- \
+  --workload pair_ll --seed 42 --seconds 1 > /dev/null
+
 echo "== fault-injection smoke =="
 # Inject a job panic plus a corrupt cache file into a quick-scale run: the
 # suite must survive (quarantine + retry), exit with code 2, and still print
@@ -67,6 +74,22 @@ if [ "$rc" -ne 1 ]; then
   exit 1
 fi
 grep -q "SMs" "$SMOKE/sms.err"
+# An L2 TLB whose set count is not a power of two (100 entries = 6 sets of
+# 16 ways) and a machine without walkers are usage errors too.
+rc=0
+./target/release/simulate --apps GUPS,MM --tlb 100 > /dev/null 2> "$SMOKE/tlb.err" || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "simulate smoke: --tlb 100 should exit 1, got $rc" >&2
+  exit 1
+fi
+grep -q "TLB" "$SMOKE/tlb.err"
+rc=0
+./target/release/simulate --apps GUPS,MM --walkers 0 > /dev/null 2> "$SMOKE/nowalkers.err" || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "simulate smoke: --walkers 0 should exit 1, got $rc" >&2
+  exit 1
+fi
+grep -q "walker" "$SMOKE/nowalkers.err"
 
 echo "== n-tenant smoke =="
 # The scenario engine must handle more than two tenants and at least one
@@ -135,9 +158,10 @@ fi
 grep -q "check_interval" "$SMOKE/zero.err"
 # A tenant profile the warp streams cannot run is a typed configuration
 # error as well: an empty hot region, cold regions that lay pages out
-# past the 2^36-page reach of a 4 KB page table, or cold regions inside
+# past the 2^36-page reach of a 4 KB page table, cold regions inside
 # the reach whose 32 warps need more frames than a 32-bit page-table
-# entry can hold. Each must exit 1 with its diagnostic, not panic.
+# entry can hold, or more distinct references per instruction than a
+# warp has threads. Each must exit 1 with its diagnostic, not panic.
 cat > "$SMOKE/profile.json" <<'EOF'
 {
   "events": [
@@ -156,7 +180,9 @@ sed 's/"cold_pages": 8/"cold_pages": 68719476736/' "$SMOKE/profile.json" > "$SMO
 grep -q '"cold_pages": 68719476736' "$SMOKE/reach.json"
 sed 's/"cold_pages": 8/"cold_pages": 268435456/' "$SMOKE/profile.json" > "$SMOKE/frames.json"
 grep -q '"cold_pages": 268435456' "$SMOKE/frames.json"
-for bad in nohot reach frames; do
+sed 's/"divergence": 1,/"divergence": 33,/' "$SMOKE/profile.json" > "$SMOKE/diverge.json"
+grep -q '"divergence": 33' "$SMOKE/diverge.json"
+for bad in nohot reach frames diverge; do
   rc=0
   timeout 60 ./target/release/repro --quick --scenario "$SMOKE/$bad.json" > /dev/null 2> "$SMOKE/$bad.err" || rc=$?
   if [ "$rc" -ne 1 ]; then
@@ -167,6 +193,7 @@ done
 grep -q "hot_pages < 1" "$SMOKE/nohot.err"
 grep -q "page reach" "$SMOKE/reach.err"
 grep -q "32-bit page-table entry" "$SMOKE/frames.err"
+grep -q "divergence" "$SMOKE/diverge.err"
 
 echo "== arena smoke =="
 # The policy arena end-to-end: the quick-field leaderboard ranks every

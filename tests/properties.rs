@@ -1099,3 +1099,55 @@ fn tiny_simulations_complete() {
         }
     }
 }
+
+/// The simulator's shared tenant streams — one `TenantStream` per tenant,
+/// one cursor per warp, the warps interleaved — emit exactly the
+/// `(compute, refs)` sequence of standalone `WarpStream`s, through two
+/// relaunches, for every calibrated app and 20 synthetic profiles.
+#[test]
+fn shared_tenant_streams_match_standalone_warp_streams() {
+    use walksteal::workloads::{synthetic_profile, AppId, MemRef, TenantStream, WarpStream};
+
+    let mut rng = SimRng::new(0x57);
+    let mut profiles: Vec<_> = AppId::ALL.iter().map(|a| a.profile()).collect();
+    profiles.extend((0..20).map(|_| synthetic_profile(&mut rng)));
+    const WARPS: u64 = 8;
+    const BUDGET: u64 = 3_000;
+    for (case, &p) in profiles.iter().enumerate() {
+        let seed = rng.next_u64();
+        let shared = TenantStream::new(p, seed, BUDGET);
+        let mut cursors: Vec<_> = (0..WARPS).map(|w| shared.cursor(w)).collect();
+        let mut alone: Vec<_> = (0..WARPS)
+            .map(|w| WarpStream::new(p, seed, w, BUDGET))
+            .collect();
+        let mut slots = vec![
+            MemRef {
+                vpn: Vpn(0),
+                line_in_page: 0
+            };
+            p.divergence
+        ];
+        let (mut refs, mut relaunches) = (Vec::new(), vec![0; WARPS as usize]);
+        // Round-robin over the warps until each has finished three
+        // executions.
+        while relaunches.iter().any(|&r| r < 3) {
+            for w in 0..WARPS as usize {
+                if relaunches[w] == 3 {
+                    continue;
+                }
+                let got = shared.next_op(&mut cursors[w], &mut slots);
+                let want = alone[w].next_op_into(&mut refs);
+                assert_eq!(got.map(|(c, _)| c), want, "case {case} warp {w}");
+                match got {
+                    Some((_, n)) => assert_eq!(&slots[..n], &refs[..], "case {case} warp {w}"),
+                    None => {
+                        relaunches[w] += 1;
+                        shared.relaunch(&mut cursors[w]);
+                        alone[w].relaunch();
+                    }
+                }
+                assert_eq!(cursors[w].remaining(), alone[w].remaining(), "case {case}");
+            }
+        }
+    }
+}
