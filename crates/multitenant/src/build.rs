@@ -4,12 +4,11 @@
 //! [`SimulationBuilder`] is the single public construction path for
 //! simulations. It applies configuration in the canonical order the
 //! experiment suite uses — `for_tenants(n)` first, then the policy preset.
-//! A static tenant list runs with no scenario attached and reports no
-//! churn; [`scenario`](SimulationBuilder::scenario) attaches a dynamic
-//! timeline instead. [`ScenarioSpec::static_run`], the degenerate
-//! all-arrive-at-cycle-0 timeline, gives the same per-tenant results as the
-//! plain list plus a churn report (the `static_scenario_is_degenerate` test
-//! pins this).
+//! A tenant list compiles to the same form as a
+//! [`scenario`](SimulationBuilder::scenario) timeline, every tenant
+//! resident from cycle 0, and runs the same path, but reports no churn.
+//! [`ScenarioSpec::static_run`] gives the same results as the plain list
+//! plus a churn report (the `static_scenario_is_degenerate` test pins it).
 //!
 //! # Examples
 //!
@@ -37,7 +36,7 @@ use walksteal_workloads::{AppId, AppProfile};
 
 use crate::config::{GpuConfig, PolicyPreset};
 use crate::metrics::SimResult;
-use crate::scenario::ScenarioSpec;
+use crate::scenario::{ScenarioSpec, Tenancy};
 use crate::sim::Simulation;
 
 /// One tenant in a [`SimulationBuilder`]: which application it runs, or —
@@ -299,7 +298,7 @@ impl SimulationBuilder {
     /// or lays out pages past the page table's reach
     /// ([`ConfigError::Profile`]).
     pub fn try_build(mut self) -> Result<Simulation, SimError> {
-        let scenario = match self.scenario.take() {
+        let tenancy = match self.scenario.take() {
             Some(spec) => {
                 if !self.tenants.is_empty() {
                     return Err(SimError::InvalidConfig(ConfigError::Scenario(
@@ -310,9 +309,9 @@ impl SimulationBuilder {
                 }
                 spec.validate()?;
                 self.tenants = spec.tenant_specs();
-                Some(spec)
+                spec.compile()
             }
-            None => None,
+            None => Tenancy::all_resident(self.tenants.len()),
         };
         if self.tenants.is_empty() {
             return Err(SimError::InvalidConfig(ConfigError::NoTenants));
@@ -323,10 +322,7 @@ impl SimulationBuilder {
             cfg = cfg.try_with_preset(preset)?;
         }
         cfg.check_profiles(&profiles)?;
-        let mut sim = Simulation::with_profiles(cfg, &profiles, self.seed, self.obs, self.metrics);
-        if let Some(spec) = scenario {
-            sim.attach_scenario(spec.compile());
-        }
+        let sim = Simulation::new(cfg, &profiles, tenancy, self.seed, self.obs, self.metrics);
         Ok(sim)
     }
 
@@ -367,7 +363,8 @@ mod tests {
             .for_tenants(2)
             .with_preset(PolicyPreset::DwsPlusPlus);
         let profiles = [AppId::Gups.profile(), AppId::Mm.profile()];
-        let direct = Simulation::with_profiles(cfg, &profiles, 7, Observer::off(), None).run();
+        let tenancy = Tenancy::all_resident(2);
+        let direct = Simulation::new(cfg, &profiles, tenancy, 7, Observer::off(), None).run();
         let built = small()
             .tenants([AppId::Gups, AppId::Mm])
             .preset(PolicyPreset::DwsPlusPlus)
@@ -380,32 +377,51 @@ mod tests {
 
     #[test]
     fn static_scenario_is_degenerate() {
-        // An all-arrive-at-cycle-0 scenario must produce the same per-tenant
-        // results, cycle count, and event count as the plain tenant list —
-        // the scenario machinery costs a static run nothing but the extra
-        // churn report.
-        let apps = [AppId::Gups, AppId::Mm];
-        let plain = small()
-            .tenants(apps)
-            .preset(PolicyPreset::Dws)
-            .seed(7)
-            .build()
-            .run();
-        let scenario = small()
-            .scenario(ScenarioSpec::static_run(apps))
-            .preset(PolicyPreset::Dws)
-            .seed(7)
-            .build()
-            .run();
-        assert_eq!(plain.tenants, scenario.tenants);
-        assert_eq!(plain.cycles, scenario.cycles);
-        assert_eq!(plain.events, scenario.events);
-        assert!(plain.churn.is_none());
-        let churn = scenario.churn.expect("scenario runs report churn");
-        assert_eq!(churn.evictions, 0);
-        assert_eq!(churn.throttles, 0);
-        assert!(churn.tenants.iter().all(|t| t.arrived == Some(0)));
-        assert!(churn.tenants.iter().all(|t| t.departed.is_none()));
+        // An all-arrive-at-cycle-0 scenario and the plain tenant list run
+        // one path: under every preset, with 2 to 4 tenants and timeline
+        // sampling on, every result field but the churn report matches.
+        // The report is there exactly when a `ScenarioSpec` supplied the
+        // tenants. 12 SMs and 12 walkers split among 2, 3 and 4 tenants.
+        let apps = [AppId::Gups, AppId::Mm, AppId::Tds, AppId::Hs];
+        for preset in PolicyPreset::ALL {
+            for n in 2..=4 {
+                let base = || {
+                    SimulationBuilder::new()
+                        .n_sms(12)
+                        .warps_per_sm(2)
+                        .walkers(12)
+                        .instructions_per_warp(200)
+                        .sample_interval(500)
+                        .preset(preset)
+                        .seed(7)
+                };
+                let list = base().tenants(apps[..n].iter().copied()).build().run();
+                let spec = ScenarioSpec::static_run(apps[..n].iter().copied());
+                let scenario = base().scenario(spec).build().run();
+                let SimResult {
+                    tenants,
+                    cycles,
+                    events,
+                    timeline,
+                    churn,
+                } = scenario;
+                assert_eq!(list.tenants, tenants, "{preset} x{n}");
+                assert_eq!(list.cycles, cycles, "{preset} x{n}");
+                assert_eq!(list.events, events, "{preset} x{n}");
+                assert_eq!(list.timeline, timeline, "{preset} x{n}");
+                assert!(!timeline.is_empty(), "{preset} x{n}: sampling is on");
+                assert!(
+                    list.churn.is_none(),
+                    "{preset} x{n}: a list reports no churn"
+                );
+                let churn = churn.expect("a scenario reports churn");
+                assert_eq!(churn.evictions, 0);
+                assert_eq!(churn.throttles, 0);
+                assert_eq!(churn.repartitions, 0);
+                assert!(churn.tenants.iter().all(|t| t.arrived == Some(0)));
+                assert!(churn.tenants.iter().all(|t| t.departed.is_none()));
+            }
+        }
     }
 
     #[test]

@@ -11,6 +11,8 @@ use walksteal_vm::{
 };
 use walksteal_workloads::{synth, AppProfile};
 
+use crate::sim::MAX_SMS_OR_WARPS;
+
 /// The configurations compared throughout the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyPreset {
@@ -228,11 +230,8 @@ impl GpuConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the resulting walker count is 0 or above [`MAX_WALKERS`],
-    /// the walk queue has no entry, or a partitioned policy cannot split
-    /// the walkers evenly among the already-set tenant count; use
-    /// [`try_with_preset`](Self::try_with_preset) to get a [`ConfigError`]
-    /// instead.
+    /// Panics on a walk subsystem
+    /// [`try_with_preset`](Self::try_with_preset) rejects.
     #[must_use]
     pub fn with_preset(self, preset: PolicyPreset) -> Self {
         self.try_with_preset(preset)
@@ -317,9 +316,10 @@ impl GpuConfig {
     }
 
     /// Every policy needs 1 to [`MAX_WALKERS`] walkers and a walk queue.
-    /// Partitioned policies also hand each tenant a fixed walker share, so
-    /// the walker count must divide evenly and fit the scheduler's
-    /// [`MAX_PARTITIONED_WALKERS`]; other organizations don't care.
+    /// Partitioned policies also hand each tenant a fixed walker share and
+    /// each walker a share of the queue, so the walker count must divide
+    /// evenly, fit the scheduler's [`MAX_PARTITIONED_WALKERS`], and not
+    /// exceed the queue entries; other organizations don't care.
     fn check_walker_split(&self, n_tenants: usize) -> Result<(), ConfigError> {
         let (count, queue_entries) = (self.walk.n_walkers, self.walk.queue_entries);
         if count == 0 || count > MAX_WALKERS || queue_entries == 0 {
@@ -343,6 +343,12 @@ impl GpuConfig {
                 resource: "walkers",
                 count: self.walk.n_walkers,
                 n_tenants,
+            });
+        }
+        if queue_entries < count {
+            return Err(ConfigError::ShortWalkQueue {
+                queue_entries,
+                walkers: count,
             });
         }
         Ok(())
@@ -416,13 +422,8 @@ impl GpuConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `n_tenants` is zero or more than [`TenantId::COUNT`],
-    /// `n_sms` is not divisible by it, the L2 TLB's set count is not a
-    /// power of two, the walk subsystem has no walker, more than
-    /// [`MAX_WALKERS`] or no queue entry, or walkers cannot be split evenly
-    /// under a partitioned policy; use
-    /// [`try_for_tenants`](Self::try_for_tenants) to get a [`ConfigError`]
-    /// instead.
+    /// Panics on a configuration
+    /// [`try_for_tenants`](Self::try_for_tenants) rejects.
     #[must_use]
     pub fn for_tenants(self, n_tenants: usize) -> Self {
         self.try_for_tenants(n_tenants)
@@ -433,6 +434,11 @@ impl GpuConfig {
     /// CLI-supplied tenant count surfaces as a diagnostic instead of a
     /// panic. Every simulation build passes through here, so this is where
     /// the tenant count is bounded by what a [`TenantId`] can name.
+    ///
+    /// # Errors
+    ///
+    /// The [`ConfigError`] of the first tenant count, machine shape, SM
+    /// split, L2 TLB geometry or walk subsystem that cannot run.
     pub fn try_for_tenants(mut self, n_tenants: usize) -> Result<Self, ConfigError> {
         if n_tenants == 0 {
             return Err(ConfigError::NoTenants);
@@ -441,6 +447,14 @@ impl GpuConfig {
             return Err(ConfigError::TooManyTenants {
                 count: n_tenants,
                 max: TenantId::COUNT,
+            });
+        }
+        let machine = 1..=MAX_SMS_OR_WARPS;
+        if !machine.contains(&self.n_sms) || !machine.contains(&self.warps_per_sm) {
+            return Err(ConfigError::Machine {
+                n_sms: self.n_sms,
+                warps_per_sm: self.warps_per_sm,
+                max: MAX_SMS_OR_WARPS,
             });
         }
         if !self.n_sms.is_multiple_of(n_tenants) {
@@ -534,6 +548,9 @@ impl GpuConfig {
 
 #[cfg(test)]
 mod tests {
+    use walksteal_sim_core::SimError;
+    use walksteal_workloads::AppId;
+
     use super::*;
 
     #[test]
@@ -720,6 +737,96 @@ mod tests {
             );
             assert!(err.to_string().contains("walkers"), "{err}");
         }
+    }
+
+    /// Builds `cfg` for two tenants through the builder, which must refuse
+    /// it with the same error `try_for_tenants` gives.
+    fn build_pair(cfg: GpuConfig) -> ConfigError {
+        let built = crate::SimulationBuilder::new()
+            .config(cfg)
+            .tenants([AppId::Gups, AppId::Mm])
+            .try_build();
+        match built {
+            Err(SimError::InvalidConfig(e)) => e,
+            Err(e) => panic!("want a configuration error, got {e}"),
+            Ok(_) => panic!("the builder accepted the machine"),
+        }
+    }
+
+    #[test]
+    fn try_for_tenants_rejects_a_machine_without_sms_or_warps() {
+        for (sms, warps) in [(0, 24), (2, 0), (0, 0)] {
+            let cfg = GpuConfig::default()
+                .with_n_sms(sms)
+                .with_warps_per_sm(warps);
+            let want = ConfigError::Machine {
+                n_sms: sms,
+                warps_per_sm: warps,
+                max: MAX_SMS_OR_WARPS,
+            };
+            assert_eq!(cfg.clone().try_for_tenants(2), Err(want.clone()));
+            assert_eq!(build_pair(cfg), want);
+            assert!(want.to_string().contains("SMs"), "{want}");
+            assert!(want.to_string().contains("warps"), "{want}");
+        }
+    }
+
+    #[test]
+    fn try_for_tenants_rejects_machines_wider_than_an_event_index() {
+        let over = MAX_SMS_OR_WARPS + 1;
+        for (sms, warps) in [(2, over), (over + 1, 1)] {
+            let cfg = GpuConfig::default()
+                .with_n_sms(sms)
+                .with_warps_per_sm(warps);
+            let want = ConfigError::Machine {
+                n_sms: sms,
+                warps_per_sm: warps,
+                max: MAX_SMS_OR_WARPS,
+            };
+            assert_eq!(cfg.clone().try_for_tenants(2), Err(want.clone()));
+            assert_eq!(build_pair(cfg), want);
+        }
+        // The limit itself fits the event payload.
+        assert_eq!(MAX_SMS_OR_WARPS, usize::from(u16::MAX));
+        assert!(GpuConfig::default()
+            .with_n_sms(2)
+            .with_warps_per_sm(MAX_SMS_OR_WARPS)
+            .try_for_tenants(2)
+            .is_ok());
+    }
+
+    #[test]
+    fn partitioned_policies_need_a_queue_entry_per_walker() {
+        let mut cfg = GpuConfig::default().with_preset(PolicyPreset::Dws);
+        cfg.walk.queue_entries = 8;
+        let want = ConfigError::ShortWalkQueue {
+            queue_entries: 8,
+            walkers: 16,
+        };
+        assert_eq!(cfg.clone().try_for_tenants(2), Err(want.clone()));
+        assert_eq!(build_pair(cfg.clone()), want);
+        assert!(want.to_string().contains("walkers"), "{want}");
+        // Through the preset as well: the shared queue accepts the shape,
+        // and switching to a partitioned policy refuses it.
+        let mut shared = GpuConfig::default();
+        shared.walk.queue_entries = 8;
+        let shared = shared
+            .try_for_tenants(2)
+            .expect("the shared queue holds it");
+        assert_eq!(
+            shared.clone().try_with_preset(PolicyPreset::Dws),
+            Err(want.clone())
+        );
+        let err = crate::SimulationBuilder::new()
+            .config(shared.clone())
+            .tenants([AppId::Gups, AppId::Mm])
+            .preset(PolicyPreset::StaticPartition)
+            .try_build()
+            .err();
+        assert_eq!(err, Some(SimError::InvalidConfig(want)));
+        // One entry per walker is enough.
+        cfg.walk.queue_entries = 16;
+        assert!(cfg.try_for_tenants(2).is_ok());
     }
 
     #[test]

@@ -26,11 +26,11 @@
 //! events, and a [`SharedMetrics`] registry that the run fills with its
 //! final counters and histograms when it ends.
 //!
-//! Every run is a scenario underneath: a static tenant list is the
-//! degenerate all-arrive-at-cycle-0 timeline, and a [`ScenarioSpec`] adds
-//! dynamic tenancy — arrivals, departures, walker repartitions, and
-//! per-tenant SLO targets enforced by an online QoS controller (see
-//! [`scenario`](mod@scenario)).
+//! Every run is a scenario underneath: a static tenant list compiles to the
+//! degenerate all-arrive-at-cycle-0 timeline and runs the same path, and a
+//! [`ScenarioSpec`] adds dynamic tenancy — arrivals, departures, walker
+//! repartitions, and per-tenant SLO targets enforced by an online QoS
+//! controller (see [`scenario`](mod@scenario)).
 //!
 //! # Examples
 //!
@@ -65,7 +65,7 @@ pub use sim::Simulation;
 // Re-exported so downstream users can configure policies and observability
 // without importing the substrate crates directly.
 pub use walksteal_sim_core::{
-    BudgetKind, ConfigError, JsonlTracer, MetricsRegistry, NullTracer, RingTracer, RunBudget,
-    RunDiag, SharedMetrics, SimError, TraceEvent, TraceFilter, TraceKind, Tracer,
+    BudgetKind, ConfigError, JsonlTracer, MetricsRegistry, RingTracer, RunBudget, RunDiag,
+    SharedMetrics, SimError, TraceEvent, TraceFilter, TraceKind, Tracer,
 };
 pub use walksteal_vm::{DwsPlusPlusParams, StealMode, WalkConfig, WalkPolicyKind};

@@ -71,9 +71,10 @@ pub struct SimResult {
     /// Defaults to empty on deserialization so results cached before
     /// sampling existed still load.
     pub timeline: Vec<Sample>,
-    /// Fairness-under-churn metrics, when the run had a scenario (`None`
-    /// for static runs — the JSON omits the key entirely, so cached static
-    /// results stay byte-identical).
+    /// Fairness-under-churn metrics: `Some` exactly when a
+    /// [`ScenarioSpec`](crate::ScenarioSpec) supplied the tenants, `None`
+    /// for a tenant list (the JSON omits the key, so cached results of
+    /// tenant lists stay byte-identical).
     pub churn: Option<ChurnReport>,
 }
 

@@ -3,13 +3,14 @@
 //!
 //! Every run is a scenario. A static run — the fixed tenant set the paper
 //! evaluates — is the degenerate timeline where every tenant arrives at
-//! cycle 0 and nobody leaves ([`ScenarioSpec::static_run`]). Dynamic
-//! timelines add [`ScenarioEvent::Arrive`] / [`ScenarioEvent::Depart`] /
-//! [`ScenarioEvent::Repartition`] events (paper §VI.C: the walker partition
-//! re-splits as the tenant set changes) and per-tenant SLO targets that an
-//! online QoS controller enforces by throttling or evicting the aggressor
-//! tenant (in the spirit of MASK's QoS-aware policies and Guardian's
-//! admission control).
+//! cycle 0 and nobody leaves ([`ScenarioSpec::static_run`]); a plain
+//! tenant list compiles to that same form and runs the same path, minus
+//! the churn report. Dynamic timelines add [`ScenarioEvent::Arrive`] /
+//! [`ScenarioEvent::Depart`] / [`ScenarioEvent::Repartition`] events
+//! (paper §VI.C: the walker partition re-splits as the tenant set changes)
+//! and per-tenant SLO targets that an online QoS controller enforces by
+//! throttling or evicting the aggressor tenant (in the spirit of MASK's
+//! QoS-aware policies and Guardian's admission control).
 //!
 //! Tenants are indexed by arrival order: the i-th `Arrive` event in the
 //! timeline creates tenant `i`. The full tenant set is known up front, so
@@ -531,57 +532,44 @@ impl ScenarioSpec {
         Ok(spec)
     }
 
-    /// Compiles a validated spec into the executable runtime state.
-    pub(crate) fn compile(&self) -> ScenarioRuntime {
-        let n = self.n_tenants();
-        let mut slo_target = vec![None; n];
-        let mut next_arrival = 0usize;
-        let mut timeline: Vec<(u64, Action)> = Vec::new();
+    /// Compiles a validated spec into the run's [`Tenancy`]. Arrivals are
+    /// chronological and name tenants in order, so the cycle-0 arrivals
+    /// are the first tenants: they set the initial residency instead of
+    /// becoming timeline entries.
+    pub(crate) fn compile(&self) -> Tenancy {
+        let mut tenancy = Tenancy {
+            reports_churn: true,
+            ..Tenancy::default()
+        };
+        let mut arrivals = 0usize;
         for e in &self.events {
             match e {
+                ScenarioEvent::Arrive { cycle: 0, .. } => {
+                    tenancy.resident_at_start += 1;
+                    arrivals += 1;
+                }
                 ScenarioEvent::Arrive { cycle, .. } => {
-                    timeline.push((*cycle, Action::Arrive(next_arrival)));
-                    next_arrival += 1;
+                    tenancy.timeline.push((*cycle, Action::Arrive(arrivals)));
+                    arrivals += 1;
                 }
                 ScenarioEvent::Depart { cycle, tenant } => {
-                    timeline.push((*cycle, Action::Depart(*tenant)));
+                    tenancy.timeline.push((*cycle, Action::Depart(*tenant)));
                 }
                 ScenarioEvent::Repartition { cycle, active } => {
-                    timeline.push((*cycle, Action::Repartition(active.clone())));
+                    tenancy
+                        .timeline
+                        .push((*cycle, Action::Repartition(active.clone())));
                 }
                 ScenarioEvent::SloTarget { tenant, p99_cycles } => {
-                    slo_target[*tenant] = Some(*p99_cycles);
+                    tenancy.slo_targets.push((*tenant, *p99_cycles));
                 }
             }
         }
-        timeline.sort_by_key(|&(c, _)| c); // Stable: same-cycle keeps list order.
-        let slo = if slo_target.iter().any(Option::is_some) {
-            Some(self.slo.unwrap_or_default())
-        } else {
-            None
-        };
-        ScenarioRuntime {
-            timeline,
-            next: 0,
-            slo,
-            slo_target,
-            active: vec![false; n],
-            arrived_at: vec![None; n],
-            departed_at: vec![None; n],
-            evicted: vec![false; n],
-            resolved: vec![false; n],
-            throttled: vec![false; n],
-            violations: vec![0; n],
-            slo_checks: vec![0; n],
-            slo_met: vec![0; n],
-            throttled_checks: vec![0; n],
-            last_check_walks: vec![0; n],
-            last_enqueued: vec![0; n],
-            lifetime_instr: vec![0; n],
-            evictions: 0,
-            repartitions: 0,
-            throttles: 0,
+        tenancy.timeline.sort_by_key(|&(c, _)| c); // Stable: same-cycle keeps list order.
+        if !tenancy.slo_targets.is_empty() {
+            tenancy.slo = Some(self.slo.unwrap_or_default());
         }
+        tenancy
     }
 }
 
@@ -596,65 +584,40 @@ pub(crate) enum Action {
     Repartition(Vec<bool>),
 }
 
-/// The executable state of a scenario inside a running simulation: the
-/// sorted timeline cursor, per-tenant residency, and the QoS controller's
-/// accumulators. The simulation's event loop drives it; everything here is
-/// plain bookkeeping so a run without a scenario pays nothing.
-#[derive(Debug)]
-pub(crate) struct ScenarioRuntime {
+/// A run's tenancy in the form the simulation executes, compiled from a
+/// tenant list ([`Tenancy::all_resident`]) or a [`ScenarioSpec`]
+/// ([`ScenarioSpec::compile`]): who is resident from cycle 0, the later
+/// timeline and its cursor, the QoS controller's policy, and the run-wide
+/// churn counters. Each tenant's residency and controller state lives on
+/// the simulation's tenant record.
+#[derive(Debug, Default)]
+pub(crate) struct Tenancy {
+    /// Tenants `0..resident_at_start` are resident from cycle 0.
+    pub resident_at_start: usize,
+    /// Declared p99 walk-latency SLOs as `(tenant, cycles)`, copied onto
+    /// the tenant records when the simulation is built.
+    pub slo_targets: Vec<(usize, u64)>,
     /// `(cycle, action)` pairs, stably sorted by cycle.
     pub timeline: Vec<(u64, Action)>,
     /// Next timeline entry to apply.
     pub next: usize,
     /// QoS controller parameters; `None` when no tenant has an SLO target.
     pub slo: Option<SloPolicy>,
-    /// Per-tenant p99 walk-latency SLO, when declared.
-    pub slo_target: Vec<Option<u64>>,
-    /// Resident right now (arrived, not departed/evicted).
-    pub active: Vec<bool>,
-    pub arrived_at: Vec<Option<u64>>,
-    pub departed_at: Vec<Option<u64>>,
-    pub evicted: Vec<bool>,
-    /// Counted toward the stop condition (completed an execution, departed,
-    /// or was evicted).
-    pub resolved: Vec<bool>,
-    /// Excluded from the walker partition by the QoS controller.
-    pub throttled: Vec<bool>,
-    /// Consecutive violating checks, per victim tenant.
-    pub violations: Vec<u32>,
-    pub slo_checks: Vec<u64>,
-    pub slo_met: Vec<u64>,
-    /// Checks during which the tenant sat throttled.
-    pub throttled_checks: Vec<u64>,
-    /// `walks_completed`-histogram total at the last counted check.
-    pub last_check_walks: Vec<u64>,
-    /// `WalkStats::enqueued` snapshot for aggressor attribution.
-    pub last_enqueued: Vec<u64>,
-    /// Instructions retired at departure (filled at run end for residents).
-    pub lifetime_instr: Vec<u64>,
+    /// Whether the result carries a [`ChurnReport`]: exactly when the
+    /// tenants came from a [`ScenarioSpec`].
+    pub reports_churn: bool,
     pub evictions: u64,
     pub repartitions: u64,
     pub throttles: u64,
 }
 
-impl ScenarioRuntime {
-    /// The walker-partition view: resident and not throttled. When the
-    /// controller has throttled *every* resident tenant (e.g. the pinned
-    /// last tenant was the aggressor and its peers have since departed),
-    /// the throttles are moot — there is no victim left to protect — so
-    /// the partition falls back to the full resident set rather than
-    /// leaving the walkers ownerless.
-    pub fn walker_active(&self) -> Vec<bool> {
-        let masked: Vec<bool> = self
-            .active
-            .iter()
-            .zip(&self.throttled)
-            .map(|(&a, &t)| a && !t)
-            .collect();
-        if masked.iter().any(|&a| a) {
-            masked
-        } else {
-            self.active.clone()
+impl Tenancy {
+    /// A tenant list's tenancy: all `n` tenants resident from cycle 0, no
+    /// timeline, no SLO, and no churn report.
+    pub fn all_resident(n: usize) -> Self {
+        Tenancy {
+            resident_at_start: n,
+            ..Tenancy::default()
         }
     }
 }
@@ -709,7 +672,8 @@ impl TenantChurn {
 }
 
 /// Fairness-under-churn results of a scenario run, attached to
-/// [`SimResult::churn`](crate::SimResult) when the run had a scenario.
+/// [`SimResult::churn`](crate::SimResult) when a [`ScenarioSpec`]
+/// supplied the tenants.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChurnReport {
     /// Per-tenant metrics, indexed by arrival order.
@@ -1017,14 +981,19 @@ mod tests {
 
     #[test]
     fn compile_sorts_timeline_and_collects_targets() {
-        let rt = two_tenant_churn().compile();
-        assert_eq!(rt.timeline.len(), 3);
-        let cycles: Vec<u64> = rt.timeline.iter().map(|&(c, _)| c).collect();
-        assert_eq!(cycles, vec![0, 1_000, 50_000]);
-        assert_eq!(rt.slo_target, vec![Some(800), None]);
-        assert!(rt.slo.is_some(), "targets imply a default policy");
-        let rt = ScenarioSpec::static_run([AppId::Mm]).compile();
-        assert!(rt.slo.is_none());
+        let t = two_tenant_churn().compile();
+        assert_eq!(t.resident_at_start, 1, "the cycle-0 arrival is resident");
+        let cycles: Vec<u64> = t.timeline.iter().map(|&(c, _)| c).collect();
+        assert_eq!(cycles, vec![1_000, 50_000]);
+        assert_eq!(t.slo_targets, vec![(0, 800)]);
+        assert!(t.slo.is_some(), "targets imply a default policy");
+        assert!(t.reports_churn);
+        let t = ScenarioSpec::static_run([AppId::Mm, AppId::Gups]).compile();
+        assert_eq!(t.resident_at_start, 2);
+        assert!(t.timeline.is_empty() && t.slo.is_none() && t.reports_churn);
+        let t = Tenancy::all_resident(2);
+        assert_eq!(t.resident_at_start, 2);
+        assert!(t.timeline.is_empty() && t.slo.is_none() && !t.reports_churn);
     }
 
     #[test]

@@ -24,10 +24,15 @@ use walksteal_workloads::{AppId, AppProfile, TenantStream, WarpCursor, MAX_DIVER
 
 use crate::config::GpuConfig;
 use crate::metrics::{Sample, SimResult, TenantResult};
-use crate::scenario::{Action, ChurnReport, ScenarioRuntime, TenantChurn};
+use crate::scenario::{Action, ChurnReport, Tenancy, TenantChurn};
 
 /// A translation waiting on an outstanding walk: (sm, warp, reference).
 type Waiter = (usize, usize, MemRef);
+
+/// The most SMs, and the most warps per SM, a simulation holds: an
+/// [`Event`] carries both indices as `u16`.
+/// [`GpuConfig::try_for_tenants`] rejects larger machines.
+pub(crate) const MAX_SMS_OR_WARPS: usize = u16::MAX as usize;
 
 /// Events between wall-clock budget samples (`Instant::now` is too costly
 /// per event).
@@ -84,7 +89,8 @@ struct Warp {
     finished: bool,
 }
 
-/// Per-tenant runtime state.
+/// Per-tenant runtime state: the tenant's progress, its residency, and
+/// what the QoS controller keeps about it.
 struct Tenant {
     app: AppId,
     /// Global warp count for this tenant.
@@ -96,6 +102,7 @@ struct Tenant {
     /// (instructions, completion cycle) of each completed execution.
     completed: Vec<(u64, Cycle)>,
     /// All warp instructions issued, including the in-progress execution.
+    /// Frozen once the tenant departs: its warps issue nothing more.
     instr_total: u64,
     /// Demand (non-retry) L2 TLB misses.
     l2_demand_misses: u64,
@@ -103,6 +110,28 @@ struct Tenant {
     l2_tlb_hits: u64,
     /// L2 TLB misses, retries included.
     l2_tlb_misses: u64,
+    /// Resident right now (arrived, not departed or evicted).
+    active: bool,
+    arrived_at: Option<u64>,
+    departed_at: Option<u64>,
+    evicted: bool,
+    /// Counted toward the stop condition (completed an execution, departed,
+    /// or was evicted).
+    resolved: bool,
+    /// Excluded from the walker partition by the QoS controller.
+    throttled: bool,
+    /// Consecutive violating checks while this tenant is an SLO victim.
+    violations: u32,
+    slo_checks: u64,
+    slo_met: u64,
+    /// Checks during which the tenant sat throttled.
+    throttled_checks: u64,
+    /// Walk-latency histogram total at the last counted check.
+    last_check_walks: u64,
+    /// `WalkStats::enqueued` at the last check, for aggressor attribution.
+    last_enqueued: u64,
+    /// Declared p99 walk-latency SLO.
+    slo_target: Option<u64>,
 }
 
 /// A deterministic simulation of co-running tenants (see crate docs).
@@ -170,32 +199,34 @@ pub struct Simulation {
     metrics: Option<SharedMetrics>,
     /// The workload seed, re-emitted in the trace header for replay.
     seed: u64,
-    /// Dynamic-tenancy state when the run has a scenario; `None` keeps the
-    /// static path byte-identical (every churn hook is gated on it).
-    scenario: Option<ScenarioRuntime>,
+    /// The scenario timeline, the QoS controller's policy and the churn
+    /// counters; a tenant list runs the same path with an empty timeline.
+    tenancy: Tenancy,
 }
 
 impl Simulation {
-    /// Builds a simulation of `profiles` (one tenant per entry) from `cfg`
-    /// with an explicit [`Observer`] and metrics handle attached — the
-    /// construction path used by `SimulationBuilder` (the only public way
-    /// to build a [`Simulation`]). Taking behavioral profiles rather
-    /// than [`AppId`]s lets synthetic tenants — profiles outside the 13
-    /// calibrated apps, as drawn by the scenario fuzzer — run through the
-    /// exact same path (an `AppId`'s profile embeds its own id).
-    pub(crate) fn with_profiles(
+    /// Builds a simulation of `profiles` (one tenant per entry) on `cfg`,
+    /// already checked and specialized for them, running `tenancy` with
+    /// an explicit [`Observer`] and metrics handle attached: the one
+    /// construction path, used by `SimulationBuilder` (the only public way
+    /// to build a [`Simulation`]) for a tenant list and a scenario alike.
+    /// Taking behavioral profiles rather than [`AppId`]s lets synthetic
+    /// tenants — profiles outside the 13 calibrated apps, as drawn by the
+    /// scenario fuzzer — run through the exact same path (an `AppId`'s
+    /// profile embeds its own id).
+    ///
+    /// Every warp's first `WarpStart` is ready, and
+    /// [`on_warp_start`](Self::on_warp_start) gates on residency, so a
+    /// later arrival stays quiescent until its cycle; the walkers start
+    /// split among the cycle-0 residents.
+    pub(crate) fn new(
         cfg: GpuConfig,
         profiles: &[AppProfile],
+        tenancy: Tenancy,
         seed: u64,
         obs: Observer,
         metrics: Option<SharedMetrics>,
     ) -> Self {
-        assert!(!profiles.is_empty(), "need at least one tenant");
-        let cfg = cfg.for_tenants(profiles.len());
-        assert!(
-            cfg.n_sms <= usize::from(u16::MAX) && cfg.warps_per_sm <= usize::from(u16::MAX),
-            "SM/warp counts must fit the packed u16 event payload"
-        );
         let n_tenants = profiles.len();
         let sms_per_tenant = cfg.n_sms / n_tenants;
         let slot_stride = profiles.iter().map(|p| p.divergence).max().unwrap_or(1);
@@ -249,6 +280,19 @@ impl Simulation {
                 l2_demand_misses: 0,
                 l2_tlb_hits: 0,
                 l2_tlb_misses: 0,
+                active: false,
+                arrived_at: None,
+                departed_at: None,
+                evicted: false,
+                resolved: false,
+                throttled: false,
+                violations: 0,
+                slo_checks: 0,
+                slo_met: 0,
+                throttled_checks: 0,
+                last_check_walks: 0,
+                last_enqueued: 0,
+                slo_target: None,
             })
             .collect();
 
@@ -267,7 +311,7 @@ impl Simulation {
             })
             .collect();
 
-        Simulation {
+        let mut sim = Simulation {
             walk: WalkSubsystem::new(cfg.walk.clone()),
             mem: MemSystem::new(cfg.mem),
             mask: cfg.mask.map(|m| MaskState::new(m, n_tenants)),
@@ -302,79 +346,59 @@ impl Simulation {
             obs,
             metrics,
             seed,
-            scenario: None,
+            tenancy,
             cfg,
+        };
+        for tenant in &mut sim.tenants[..sim.tenancy.resident_at_start] {
+            tenant.active = true;
+            tenant.arrived_at = Some(0);
         }
-    }
-
-    /// Attaches a compiled scenario. Cycle-0 actions apply immediately:
-    /// arrivals mark their tenants resident (the initial `WarpStart` events
-    /// already exist for every warp and [`on_warp_start`](Self::on_warp_start)
-    /// gates on residency, so unarrived tenants stay quiescent), and the
-    /// walker partition is narrowed to the cycle-0 residents when not
-    /// everyone arrives at once.
-    pub(crate) fn attach_scenario(&mut self, rt: ScenarioRuntime) {
-        debug_assert!(self.scenario.is_none(), "scenario attached twice");
-        debug_assert_eq!(rt.active.len(), self.tenants.len());
-        self.scenario = Some(rt);
-        // Apply everything due at cycle 0 (arrivals; possibly an explicit
-        // repartition). `now` is still 0, so `on_tenant_arrive` skips the
-        // redundant warp launches.
-        self.on_scenario_step();
-        let sc = self.scenario.as_ref().expect("just attached");
-        let walker_active = sc.walker_active();
-        if walker_active.iter().any(|&a| !a) {
-            self.walk.set_active_tenants(&walker_active);
+        for &(t, cycles) in &sim.tenancy.slo_targets {
+            sim.tenants[t].slo_target = Some(cycles);
         }
-        if let Some(policy) = self.scenario.as_ref().and_then(|s| s.slo) {
-            self.schedule(Cycle(policy.check_interval), Event::SloCheck);
+        // Apply what else is due at cycle 0 (an explicit repartition); the
+        // initial walker split below is uncounted.
+        sim.on_scenario_step();
+        if sim.tenancy.resident_at_start < n_tenants {
+            let walker_active = sim.walker_active();
+            sim.walk.set_active_tenants(&walker_active);
         }
+        if let Some(policy) = sim.tenancy.slo {
+            sim.schedule(Cycle(policy.check_interval), Event::SloCheck);
+        }
+        sim
     }
 
     /// Applies every scenario-timeline action due at `now`, then schedules
     /// the next [`Event::ScenarioStep`].
     fn on_scenario_step(&mut self) {
-        loop {
-            let Some(sc) = self.scenario.as_mut() else {
+        while let Some(&(cycle, _)) = self.tenancy.timeline.get(self.tenancy.next) {
+            if cycle > self.now.0 {
+                self.schedule(Cycle(cycle), Event::ScenarioStep);
                 return;
-            };
-            match sc.timeline.get(sc.next) {
-                Some(&(cycle, _)) if cycle <= self.now.0 => {
-                    let action = sc.timeline[sc.next].1.clone();
-                    sc.next += 1;
-                    match action {
-                        Action::Arrive(t) => self.on_tenant_arrive(t),
-                        Action::Depart(t) => self.on_tenant_depart(t, false),
-                        Action::Repartition(active) => {
-                            self.walk.set_active_tenants(&active);
-                            self.scenario.as_mut().expect("still attached").repartitions += 1;
-                        }
-                    }
+            }
+            let i = self.tenancy.next;
+            self.tenancy.next += 1;
+            match self.tenancy.timeline[i].1 {
+                Action::Arrive(t) => self.on_tenant_arrive(t),
+                Action::Depart(t) => self.on_tenant_depart(t, false),
+                Action::Repartition(ref active) => {
+                    self.walk.set_active_tenants(active);
+                    self.tenancy.repartitions += 1;
                 }
-                Some(&(cycle, _)) => {
-                    self.schedule(Cycle(cycle), Event::ScenarioStep);
-                    return;
-                }
-                None => return,
             }
         }
     }
 
-    /// A scenario tenant becomes resident: its warps launch and the walker
+    /// A tenant arrives after cycle 0: its warps launch and the walker
     /// partition re-splits to include it (paper §VI.C).
     fn on_tenant_arrive(&mut self, t: usize) {
         let now = self.now;
-        let sc = self.scenario.as_mut().expect("scenario action");
-        debug_assert!(!sc.active[t], "tenant {t} arrived twice");
-        sc.active[t] = true;
-        sc.arrived_at[t] = Some(now.0);
-        self.tenants[t].launch_cycle = now;
-        if now.0 == 0 {
-            // Cycle-0 arrival during attach: the construction-time
-            // `WarpStart` events cover the launch, and `attach_scenario`
-            // sets the initial walker partition once, uncounted.
-            return;
-        }
+        let tenant = &mut self.tenants[t];
+        debug_assert!(!tenant.active, "tenant {t} arrived twice");
+        tenant.active = true;
+        tenant.arrived_at = Some(now.0);
+        tenant.launch_cycle = now;
         let sm_base = t * self.sms_per_tenant;
         for sm in sm_base..sm_base + self.sms_per_tenant {
             for warp in 0..self.cfg.warps_per_sm {
@@ -387,28 +411,25 @@ impl Simulation {
         self.repartition_walkers();
     }
 
-    /// A scenario tenant leaves (voluntarily or evicted by the QoS
-    /// controller): cancel its queued walks, shoot down its TLB entries,
-    /// drop its merge waiters and parked translations, and re-split the
-    /// walkers among the remaining residents. Warps freeze where they are —
-    /// the residency gates in the warp handlers stop their progress.
+    /// A tenant leaves (voluntarily or evicted by the QoS controller):
+    /// cancel its queued walks, shoot down its TLB entries, drop its merge
+    /// waiters and parked translations, and re-split the walkers among the
+    /// remaining residents. Warps freeze where they are — the residency
+    /// gates in the warp handlers stop their progress.
     fn on_tenant_depart(&mut self, t: usize, evicted: bool) {
         let now = self.now;
         let tid = TenantId(t as u8);
-        {
-            let sc = self.scenario.as_mut().expect("scenario action");
-            if !sc.active[t] {
-                // Already gone (e.g. evicted before its scripted departure).
-                return;
-            }
-            sc.active[t] = false;
-            sc.departed_at[t] = Some(now.0);
-            sc.throttled[t] = false;
-            if evicted {
-                sc.evicted[t] = true;
-                sc.evictions += 1;
-            }
-            sc.lifetime_instr[t] = self.tenants[t].instr_total;
+        let tenant = &mut self.tenants[t];
+        if !tenant.active {
+            // Already gone (e.g. evicted before its scripted departure).
+            return;
+        }
+        tenant.active = false;
+        tenant.departed_at = Some(now.0);
+        tenant.throttled = false;
+        if evicted {
+            tenant.evicted = true;
+            self.tenancy.evictions += 1;
         }
 
         // Queued (not yet in-service) walks are cancelled; in-service walks
@@ -443,28 +464,47 @@ impl Simulation {
         self.resolve_tenant(t);
     }
 
+    /// The walker-partition view: resident and not throttled. When the
+    /// controller has throttled *every* resident tenant (e.g. the pinned
+    /// last tenant was the aggressor and its peers have since departed),
+    /// the throttles are moot — there is no victim left to protect — so
+    /// the partition falls back to the full resident set rather than
+    /// leaving the walkers ownerless.
+    fn walker_active(&self) -> Vec<bool> {
+        let masked: Vec<bool> = self
+            .tenants
+            .iter()
+            .map(|t| t.active && !t.throttled)
+            .collect();
+        if masked.contains(&true) {
+            masked
+        } else {
+            self.tenants.iter().map(|t| t.active).collect()
+        }
+    }
+
     /// Re-splits the walker partition to the current resident-and-not-
     /// throttled tenant set.
     fn repartition_walkers(&mut self) {
-        let sc = self.scenario.as_mut().expect("scenario runs only");
-        let walker_active = sc.walker_active();
-        if !walker_active.iter().any(|&a| a) {
+        let walker_active = self.walker_active();
+        if !walker_active.contains(&true) {
             // Every tenant has departed (a timeline may empty the GPU);
             // there is no one to own the walkers and nothing left to walk.
             return;
         }
-        sc.repartitions += 1;
+        self.tenancy.repartitions += 1;
         self.walk.set_active_tenants(&walker_active);
     }
 
-    /// Marks tenant `t` as counted toward the scenario stop condition
-    /// (completed an execution, departed, or was evicted).
+    /// Marks tenant `t` as counted toward the stop condition (completed an
+    /// execution, departed, or was evicted); the run stops once every
+    /// tenant is.
     fn resolve_tenant(&mut self, t: usize) {
-        let sc = self.scenario.as_mut().expect("scenario runs only");
-        if sc.resolved[t] {
+        let tenant = &mut self.tenants[t];
+        if tenant.resolved {
             return;
         }
-        sc.resolved[t] = true;
+        tenant.resolved = true;
         self.tenants_done += 1;
         if self.tenants_done == self.tenants.len() {
             self.stopped = true;
@@ -478,8 +518,9 @@ impl Simulation {
     /// and after `evict_after` consecutive violating checks evict it. When
     /// no victim is violating, throttles lift.
     fn on_slo_check(&mut self) {
-        let Some(sc) = &self.scenario else { return };
-        let Some(policy) = sc.slo else { return };
+        let Some(policy) = self.tenancy.slo else {
+            return;
+        };
         if !self.stopped {
             self.schedule(self.now + policy.check_interval, Event::SloCheck);
         }
@@ -487,9 +528,9 @@ impl Simulation {
 
         // Walks enqueued per tenant since the last check — the aggressor
         // attribution signal.
-        let enqueued = self.walk.stats().enqueued.clone();
-        let delta_enq: Vec<u64> = (0..n)
-            .map(|t| enqueued[t] - self.scenario.as_ref().expect("checked").last_enqueued[t])
+        let stats = self.walk.stats();
+        let delta_enq: Vec<u64> = (self.tenants.iter().zip(&stats.enqueued))
+            .map(|(t, &enqueued)| enqueued - t.last_enqueued)
             .collect();
 
         // Read each targeted resident's p99, collecting verdicts before
@@ -499,17 +540,15 @@ impl Simulation {
         // violation streak decays (a quiet victim is not a suffering one, and
         // must not pin a throttle forever).
         let mut verdicts: Vec<(usize, Option<bool>, u64)> = Vec::new();
-        let sc = self.scenario.as_ref().expect("checked");
-        for t in 0..n {
-            let (Some(target), true) = (sc.slo_target[t], sc.active[t]) else {
+        for (t, (tenant, latency)) in self.tenants.iter().zip(&stats.latency).enumerate() {
+            let (Some(target), true) = (tenant.slo_target, tenant.active) else {
                 continue;
             };
-            let latency = &self.walk.stats().latency[t];
             let total = latency.total();
             if total == 0 {
                 continue;
             }
-            if total - sc.last_check_walks[t] < policy.min_samples {
+            if total - tenant.last_check_walks < policy.min_samples {
                 verdicts.push((t, None, total));
             } else {
                 verdicts.push((t, Some(latency.percentile(0.99) <= target), total));
@@ -518,55 +557,53 @@ impl Simulation {
 
         let mut any_violation = false;
         for (victim, verdict, total) in verdicts {
-            {
-                let sc = self.scenario.as_mut().expect("checked");
-                let Some(met) = verdict else {
-                    sc.violations[victim] = 0;
-                    continue;
-                };
-                sc.slo_checks[victim] += 1;
-                sc.last_check_walks[victim] = total;
-                if met {
-                    sc.slo_met[victim] += 1;
-                    sc.violations[victim] = 0;
-                    continue;
-                }
-                sc.violations[victim] += 1;
-                any_violation = true;
+            let v = &mut self.tenants[victim];
+            let Some(met) = verdict else {
+                v.violations = 0;
+                continue;
+            };
+            v.slo_checks += 1;
+            v.last_check_walks = total;
+            if met {
+                v.slo_met += 1;
+                v.violations = 0;
+                continue;
             }
+            v.violations += 1;
+            any_violation = true;
+            let violations = v.violations;
 
             // Aggressor: the other resident tenant that enqueued the most
             // walks since the last check (ties break to the lowest index).
-            let sc = self.scenario.as_ref().expect("checked");
             let aggressor = (0..n)
-                .filter(|&t| t != victim && sc.active[t])
+                .filter(|&t| t != victim && self.tenants[t].active)
                 .max_by_key(|&t| (delta_enq[t], std::cmp::Reverse(t)));
             let Some(aggr) = aggressor else { continue };
-            if self.scenario.as_ref().expect("checked").violations[victim] >= policy.evict_after {
+            if violations >= policy.evict_after {
                 self.on_tenant_depart(aggr, true);
-                self.scenario.as_mut().expect("checked").violations[victim] = 0;
-            } else if !self.scenario.as_ref().expect("checked").throttled[aggr] {
-                let sc = self.scenario.as_mut().expect("checked");
-                sc.throttled[aggr] = true;
-                sc.throttles += 1;
+                self.tenants[victim].violations = 0;
+            } else if !self.tenants[aggr].throttled {
+                self.tenants[aggr].throttled = true;
+                self.tenancy.throttles += 1;
                 self.repartition_walkers();
             }
         }
 
         // Victims recovered: lift every throttle in one repartition.
-        let sc = self.scenario.as_mut().expect("checked");
-        if !any_violation && sc.violations.iter().all(|&v| v == 0) && sc.throttled.contains(&true) {
-            sc.throttled.iter_mut().for_each(|t| *t = false);
+        if !any_violation
+            && self.tenants.iter().all(|t| t.violations == 0)
+            && self.tenants.iter().any(|t| t.throttled)
+        {
+            self.tenants.iter_mut().for_each(|t| t.throttled = false);
             self.repartition_walkers();
         }
 
-        let sc = self.scenario.as_mut().expect("checked");
-        for t in 0..n {
-            if sc.active[t] && sc.throttled[t] {
-                sc.throttled_checks[t] += 1;
+        for (t, delta) in self.tenants.iter_mut().zip(delta_enq) {
+            if t.active && t.throttled {
+                t.throttled_checks += 1;
             }
+            t.last_enqueued += delta;
         }
-        sc.last_enqueued = enqueued;
     }
 
     /// Flat index of warp `warp` on SM `sm` (see the `warps` field).
@@ -769,12 +806,10 @@ impl Simulation {
 
     fn on_warp_start(&mut self, sm: usize, warp: usize) {
         let tenant = self.sms[sm].tenant();
-        if let Some(sc) = &self.scenario {
-            if !sc.active[tenant.index()] {
-                // Not resident (pre-arrival or departed): stay quiescent.
-                // An arrival re-pushes this warp's `WarpStart`.
-                return;
-            }
+        if !self.tenants[tenant.index()].active {
+            // Not resident (pre-arrival or departed): stay quiescent. An
+            // arrival re-pushes this warp's `WarpStart`.
+            return;
         }
         let wi = self.wi(sm, warp);
         // Generate the next op straight into the warp's slots: the stream
@@ -808,12 +843,10 @@ impl Simulation {
     }
 
     fn on_warp_mem(&mut self, sm: usize, warp: usize) {
-        if let Some(sc) = &self.scenario {
-            if !sc.active[self.sms[sm].tenant().index()] {
-                // The tenant departed between the compute burst's issue and
-                // its memory phase; the references stay pending, frozen.
-                return;
-            }
+        if !self.tenants[self.sms[sm].tenant().index()].active {
+            // The tenant departed between the compute burst's issue and its
+            // memory phase; the references stay pending, frozen.
+            return;
         }
         // Every coalesced reference of the instruction issues this cycle,
         // in slot order.
@@ -923,11 +956,7 @@ impl Simulation {
             Some(mask) => mask.try_take_fill_token(done.tenant),
             None => true,
         };
-        let resident = self
-            .scenario
-            .as_ref()
-            .is_none_or(|sc| sc.active[done.tenant.index()]);
-        if may_fill && resident {
+        if may_fill && self.tenants[done.tenant.index()].active {
             self.l2.fill(done.tenant, done.vpn, done.ppn, now);
         }
 
@@ -1013,18 +1042,10 @@ impl Simulation {
         t.instr_this_exec = 0;
         t.warps_finished = 0;
         t.launch_cycle = self.now;
-        if let Some(sc) = &self.scenario {
-            debug_assert!(sc.active[tenant.index()], "finished while not resident");
-            if first_completion {
-                self.resolve_tenant(tenant.index());
-                if self.stopped {
-                    return;
-                }
-            }
-        } else if first_completion {
-            self.tenants_done += 1;
-            if self.tenants_done == self.tenants.len() {
-                self.stopped = true;
+        debug_assert!(t.active, "finished while not resident");
+        if first_completion {
+            self.resolve_tenant(tenant.index());
+            if self.stopped {
                 return;
             }
         }
@@ -1120,39 +1141,30 @@ impl Simulation {
                 }
             })
             .collect();
-        let churn = self.scenario.as_ref().map(|sc| {
+        let churn = self.tenancy.reports_churn.then(|| {
             let stats = self.walk.stats();
             ChurnReport {
-                tenants: (0..self.tenants.len())
-                    .map(|t| {
-                        let arrived = sc.arrived_at[t];
-                        let departed = sc.departed_at[t];
-                        let lifetime_cycles = match (arrived, departed) {
+                tenants: (self.tenants.iter().zip(&stats.cancelled))
+                    .map(|(t, &cancelled_walks)| TenantChurn {
+                        arrived: t.arrived_at,
+                        departed: t.departed_at,
+                        evicted: t.evicted,
+                        slo_target: t.slo_target,
+                        slo_checks: t.slo_checks,
+                        slo_met: t.slo_met,
+                        throttled_checks: t.throttled_checks,
+                        cancelled_walks,
+                        lifetime_instructions: t.instr_total,
+                        lifetime_cycles: match (t.arrived_at, t.departed_at) {
                             (Some(a), Some(d)) => d - a,
                             (Some(a), None) => end.0.saturating_sub(a),
                             _ => 0,
-                        };
-                        TenantChurn {
-                            arrived,
-                            departed,
-                            evicted: sc.evicted[t],
-                            slo_target: sc.slo_target[t],
-                            slo_checks: sc.slo_checks[t],
-                            slo_met: sc.slo_met[t],
-                            throttled_checks: sc.throttled_checks[t],
-                            cancelled_walks: stats.cancelled[t],
-                            lifetime_instructions: if departed.is_some() {
-                                sc.lifetime_instr[t]
-                            } else {
-                                self.tenants[t].instr_total
-                            },
-                            lifetime_cycles,
-                        }
+                        },
                     })
                     .collect(),
-                evictions: sc.evictions,
-                repartitions: sc.repartitions,
-                throttles: sc.throttles,
+                evictions: self.tenancy.evictions,
+                repartitions: self.tenancy.repartitions,
+                throttles: self.tenancy.throttles,
             }
         });
         SimResult {
@@ -1174,7 +1186,9 @@ mod tests {
     /// profile-based construction path.
     fn sim(cfg: GpuConfig, apps: &[AppId], seed: u64) -> Simulation {
         let profiles: Vec<AppProfile> = apps.iter().map(|a| a.profile()).collect();
-        Simulation::with_profiles(cfg, &profiles, seed, Observer::off(), None)
+        let cfg = cfg.for_tenants(apps.len());
+        let tenancy = Tenancy::all_resident(apps.len());
+        Simulation::new(cfg, &profiles, tenancy, seed, Observer::off(), None)
     }
 
     fn small_cfg() -> GpuConfig {

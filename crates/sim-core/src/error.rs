@@ -138,6 +138,16 @@ pub enum ConfigError {
         /// The requested tenant count.
         n_tenants: usize,
     },
+    /// A machine with no SM or no warp per SM, or with more SMs or warps
+    /// per SM than the simulator's events can index.
+    Machine {
+        /// The configured SM count.
+        n_sms: usize,
+        /// The configured warps per SM.
+        warps_per_sm: usize,
+        /// The most SMs, and the most warps per SM, a simulation holds.
+        max: usize,
+    },
     /// A TLB geometry no TLB can be built with: a set count that is not a
     /// power of two, or no ways.
     TlbGeometry {
@@ -165,6 +175,14 @@ pub enum ConfigError {
         count: usize,
         /// The most the partitioned scheduler supports.
         max: usize,
+    },
+    /// A partitioned walker policy with fewer walk-queue entries than
+    /// walkers, which leaves a walker no queue entry of its own.
+    ShortWalkQueue {
+        /// The configured walk-queue entries.
+        queue_entries: usize,
+        /// The configured walker count.
+        walkers: usize,
     },
     /// A scenario timeline failed validation (depart-before-arrive,
     /// out-of-range tenant index, a window with no resident tenant, ...).
@@ -197,6 +215,15 @@ impl fmt::Display for ConfigError {
                 f,
                 "{count} {resource} do not divide evenly among {n_tenants} tenants"
             ),
+            ConfigError::Machine {
+                n_sms,
+                warps_per_sm,
+                max,
+            } => write!(
+                f,
+                "{n_sms} SMs with {warps_per_sm} warps per SM: need 1 to {max} SMs \
+                 and 1 to {max} warps per SM"
+            ),
             ConfigError::TlbGeometry { what, sets, ways } => write!(
                 f,
                 "{what} of {sets} sets x {ways} ways: the set count must be a power of two \
@@ -214,6 +241,14 @@ impl fmt::Display for ConfigError {
             ConfigError::TooManyWalkers { count, max } => write!(
                 f,
                 "{count} walkers exceed the partitioned scheduler's limit of {max}"
+            ),
+            ConfigError::ShortWalkQueue {
+                queue_entries,
+                walkers,
+            } => write!(
+                f,
+                "{queue_entries} walk-queue entries for {walkers} walkers: a partitioned \
+                 policy needs at least one entry per walker"
             ),
             ConfigError::Scenario(msg) => write!(f, "invalid scenario: {msg}"),
             ConfigError::Profile { tenant, reason } => write!(f, "tenant {tenant}: {reason}"),

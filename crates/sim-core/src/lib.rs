@@ -62,6 +62,4 @@ pub use json::Json;
 pub use metrics::{MetricsRegistry, SharedMetrics};
 pub use rng::SimRng;
 pub use stats::{amean, gmean, Histogram, ShareIntegral};
-pub use trace::{
-    JsonlTracer, NullTracer, Observer, RingTracer, TraceEvent, TraceFilter, TraceKind, Tracer,
-};
+pub use trace::{JsonlTracer, Observer, RingTracer, TraceEvent, TraceFilter, TraceKind, Tracer};

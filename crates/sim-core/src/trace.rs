@@ -661,19 +661,6 @@ pub trait Tracer {
     fn flush(&mut self) {}
 }
 
-/// A tracer that records nothing. Attaching it is equivalent to attaching no
-/// tracer at all; it exists so generic code always has a `Tracer` to name.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    fn wants(&self, _kind: TraceKind) -> bool {
-        false
-    }
-
-    fn record(&mut self, _ev: &TraceEvent) {}
-}
-
 /// Writes one JSON object per line (JSONL) to any [`Write`] sink.
 ///
 /// Write errors latch: the first error stops further output and is
@@ -847,14 +834,6 @@ impl Observer {
     #[must_use]
     pub fn off() -> Self {
         Observer::default()
-    }
-
-    /// An observer with the given trace sink attached.
-    #[must_use]
-    pub fn with_tracer(tracer: Box<dyn Tracer>) -> Self {
-        Observer {
-            tracer: Some(tracer),
-        }
     }
 
     /// Whether tracing is off.
@@ -1058,8 +1037,5 @@ mod tests {
         let mut obs = Observer::off();
         assert!(obs.is_off());
         obs.trace(TraceKind::Walk, || panic!("built an event while off"));
-
-        let mut obs = Observer::with_tracer(Box::new(NullTracer));
-        obs.trace(TraceKind::Walk, || panic!("NullTracer wants nothing"));
     }
 }

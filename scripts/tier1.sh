@@ -90,6 +90,22 @@ if [ "$rc" -ne 1 ]; then
   exit 1
 fi
 grep -q "walker" "$SMOKE/nowalkers.err"
+# A machine wider than an event can index (more than 65535 warps per SM)
+# and a machine without SMs cannot be built either.
+rc=0
+./target/release/simulate --apps GUPS,MM --sms 2 --warps 70000 > /dev/null 2> "$SMOKE/wide.err" || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "simulate smoke: --warps 70000 should exit 1, got $rc" >&2
+  exit 1
+fi
+grep -q "warps" "$SMOKE/wide.err"
+rc=0
+./target/release/simulate --apps GUPS,MM --sms 0 > /dev/null 2> "$SMOKE/nosms.err" || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "simulate smoke: --sms 0 should exit 1, got $rc" >&2
+  exit 1
+fi
+grep -q "SMs" "$SMOKE/nosms.err"
 
 echo "== n-tenant smoke =="
 # The scenario engine must handle more than two tenants and at least one

@@ -103,8 +103,8 @@ pub mod prelude {
         SimResult, Simulation, SimulationBuilder, SloPolicy, TenantChurn, TenantResult, TenantSpec,
     };
     pub use walksteal_sim_core::{
-        Json, JsonlTracer, MetricsRegistry, NullTracer, RingTracer, RunBudget, SharedMetrics,
-        SimError, TraceEvent, TraceFilter, TraceKind, Tracer,
+        Json, JsonlTracer, MetricsRegistry, RingTracer, RunBudget, SharedMetrics, SimError,
+        TraceEvent, TraceFilter, TraceKind, Tracer,
     };
     pub use walksteal_workloads::{named_pairs, paper_pairs, AppId, WorkloadPair};
 }

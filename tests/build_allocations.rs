@@ -6,8 +6,13 @@
 //! or code in cache, so these counts are what `SimulationBuilder::try_build`
 //! costs cold. The simulation used to make 331 allocations requesting
 //! 744,512 bytes here (before TLB, cache and event-ring storage moved to
-//! first use and the warp streams shared one record per tenant). A change
-//! that adds set-up work changes the pins; update them deliberately.
+//! first use and the warp streams shared one record per tenant).
+//!
+//! The pair is built twice: from a tenant list, and from
+//! `ScenarioSpec::static_run`, which compiles to the same tenancy after
+//! validating its timeline. Both build the same tenant records, which
+//! carry each tenant's residency and QoS-controller state. A change that
+//! adds set-up work changes the pins; update them deliberately.
 //!
 //! The binary holds one test so no other test allocates while it counts.
 
@@ -16,7 +21,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use walksteal::experiments::Scale;
-use walksteal::multitenant::{PolicyPreset, SimulationBuilder};
+use walksteal::multitenant::{PolicyPreset, ScenarioSpec, SimulationBuilder};
 use walksteal::workloads::AppId;
 
 thread_local! {
@@ -66,27 +71,38 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// The allocations and bytes `builder.try_build()` requests.
+fn count_build(builder: SimulationBuilder) -> (u64, u64) {
+    ALLOCATIONS.store(0, Ordering::Relaxed);
+    BYTES.store(0, Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    let sim = builder.try_build();
+    COUNTING.with(|c| c.set(false));
+    assert!(sim.is_ok(), "the paper-scale pair must build");
+    (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    )
+}
+
 #[test]
 fn paper_scale_pair_build_allocations_are_pinned() {
     let cfg = Scale::Paper
         .base_config()
         .for_tenants(2)
         .with_preset(PolicyPreset::Dws);
-    let builder = SimulationBuilder::new()
-        .config(cfg)
-        .seed(42)
-        .tenants([AppId::Gups, AppId::Mm]);
-    COUNTING.with(|c| c.set(true));
-    let sim = builder.try_build();
-    COUNTING.with(|c| c.set(false));
-    assert!(sim.is_ok(), "the paper-scale pair must build");
-    let (allocations, bytes) = (
-        ALLOCATIONS.load(Ordering::Relaxed),
-        BYTES.load(Ordering::Relaxed),
-    );
+    let apps = [AppId::Gups, AppId::Mm];
+    let builder = || SimulationBuilder::new().config(cfg.clone()).seed(42);
+    let (allocations, bytes) = count_build(builder().tenants(apps));
     assert_eq!(
         (allocations, bytes),
-        (49, 166_904),
-        "set-up work changed: {allocations} allocations requesting {bytes} bytes"
+        (49, 167_096),
+        "list build: set-up work changed: {allocations} allocations requesting {bytes} bytes"
+    );
+    let (allocations, bytes) = count_build(builder().scenario(ScenarioSpec::static_run(apps)));
+    assert_eq!(
+        (allocations, bytes),
+        (55, 167_660),
+        "static_run build: set-up work changed: {allocations} allocations requesting {bytes} bytes"
     );
 }

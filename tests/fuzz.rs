@@ -196,6 +196,22 @@ fn memory_shape_fields_default_vary_and_validate() {
     );
 }
 
+/// A repro file whose machine the simulator cannot build — more warps per
+/// SM than an event can index, or no SM at all — is rejected when it
+/// loads, with the configuration error naming the resource.
+#[test]
+fn unbuildable_machines_are_rejected_on_load() {
+    let sc = load_repro(&corpus_dir().join("dwspp-repartition.json")).expect("corpus loads");
+    let mut wide = sc.clone();
+    wide.warps_per_sm = 70_000;
+    let err = FuzzScenario::from_json(&wide.to_json()).expect_err("70000 warps must not load");
+    assert!(err.contains("warps per SM"), "{err}");
+    let mut empty = sc;
+    empty.sms_per_tenant = 0;
+    let err = FuzzScenario::from_json(&empty.to_json()).expect_err("no SM must not load");
+    assert!(err.contains("0 SMs"), "{err}");
+}
+
 /// A repro file whose synthetic profile the stream generator cannot run —
 /// an empty hot region, or cold regions laid out past the page table's
 /// reach — is rejected when it loads, not by a panic mid-replay.
