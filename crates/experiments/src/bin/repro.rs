@@ -420,8 +420,8 @@ fn run_verify_cache(
     if audit.stale.is_empty() {
         ExitCode::SUCCESS
     } else {
-        for key in &audit.stale {
-            eprintln!("  STALE: {key}");
+        for job in &audit.stale {
+            eprintln!("  STALE: {job}");
         }
         eprintln!(
             "stale entries no longer match the current simulator; delete them and re-run the suite"
@@ -444,7 +444,7 @@ fn summarize_failures(ctx: &ExpContext) -> ExitCode {
         for q in quarantined {
             eprintln!(
                 "  {}  [{}] -> {}",
-                q.key,
+                q.job,
                 q.error.kind(),
                 q.moved_to
                     .as_deref()
@@ -457,9 +457,8 @@ fn summarize_failures(ctx: &ExpContext) -> ExitCode {
         for f in failures {
             let outcome = if f.recovered { "recovered" } else { "DEAD" };
             eprintln!(
-                "  {}  seed={} attempts={} [{}] {outcome}: {}",
-                f.key,
-                f.seed,
+                "  {}  attempts={} [{}] {outcome}: {}",
+                f.job,
                 f.attempts,
                 f.error.kind(),
                 f.error

@@ -25,7 +25,6 @@ use walksteal_multitenant::{PolicyPreset, ScenarioSpec, SimResult, SloPolicy};
 use walksteal_sim_core::gmean;
 use walksteal_workloads::{ArrivalProcess, ChurnPlan};
 
-use crate::key::ExpKey;
 use crate::report::Table;
 use crate::suite::{ExpContext, SCENARIO_PRESETS};
 
@@ -43,7 +42,7 @@ pub enum ChurnKind {
 }
 
 impl ChurnKind {
-    /// The suite label (`repro churn_<name>`, cache-key prefix).
+    /// The suite label (`repro churn_<name>`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -112,8 +111,7 @@ pub fn scenario_from_plan(plan: &ChurnPlan, slo: Option<(u64, SloPolicy)>) -> Sc
 
 /// One churn cell: the scenario for `(kind, seed)` under `preset` on the
 /// canonical [`ExpContext::tenant_config`] machine (churn adds a timeline,
-/// not a machine), cache-keyed on the suite, preset, and the plan's
-/// arrivals.
+/// not a machine).
 fn run_churn(
     ctx: &mut ExpContext,
     kind: ChurnKind,
@@ -123,9 +121,7 @@ fn run_churn(
 ) -> SimResult {
     let spec = scenario_from_plan(plan, Some(kind.slo()));
     let cfg = ctx.tenant_config(plan.n_tenants(), preset);
-    let label = format!("churn|{}|{}", kind.name(), preset.label());
-    let key = ExpKey::custom_mix(&label, &plan.apps(), ctx.scale.label(), seed);
-    ctx.scenario_run(key, cfg, &spec, seed)
+    ctx.scenario_run(cfg, &spec, seed)
 }
 
 /// Mean per-tenant SLO compliance of a churn run, as a percentage.
@@ -245,9 +241,7 @@ pub fn sens_churn(ctx: &mut ExpContext) -> Table {
                 .iter()
                 .map(|&preset| {
                     let cfg = ctx.tenant_config(plan.n_tenants(), preset);
-                    let label = format!("churnS|g{gap}|{}", preset.label());
-                    let key = ExpKey::custom_mix(&label, &plan.apps(), ctx.scale.label(), seed);
-                    let r = ctx.scenario_run(key, cfg, &spec, seed);
+                    let r = ctx.scenario_run(cfg, &spec, seed);
                     r.churn
                         .as_ref()
                         .expect("scenario runs report churn")

@@ -60,7 +60,6 @@ use walksteal_vm::{
 use walksteal_workloads::{synthetic_profile, AppId, AppProfile};
 
 use crate::fault::FaultSpec;
-use crate::key::ExpKey;
 use crate::parallel::{run_jobs, Job, RunOptions};
 use crate::store::Store;
 
@@ -80,7 +79,7 @@ pub enum TenantSource {
 }
 
 impl TenantSource {
-    /// The app id labeling this tenant in results and cache keys.
+    /// The app id labeling this tenant in results.
     #[must_use]
     pub fn app(&self) -> AppId {
         match self {
@@ -1068,13 +1067,7 @@ fn fault_equivalence(sc: &FuzzScenario, cfg: &GpuConfig) -> Result<usize, Diverg
     };
     let apps: Vec<AppId> = sc.tenants.iter().map(TenantSource::app).collect();
     let jobs: Vec<Job> = (0..3)
-        .map(|k| Job {
-            key: ExpKey::custom_mix(&format!("fuzz-{k}"), &apps, "fuzz", sc.seed ^ k),
-            cfg: cfg.clone(),
-            apps: apps.clone(),
-            seed: sc.seed ^ k,
-            scenario: None,
-        })
+        .map(|k| Job::new(cfg.clone(), &apps, sc.seed ^ k))
         .collect();
     let opts_clean = RunOptions {
         verbose: false,
@@ -1096,14 +1089,13 @@ fn fault_equivalence(sc: &FuzzScenario, cfg: &GpuConfig) -> Result<usize, Diverg
     run_jobs(&mut faulted, &jobs, 1, &opts_faulted);
 
     for job in &jobs {
-        let c = clean.lookup(&job.key).map(|r| r.to_json().dump());
-        let f = faulted.lookup(&job.key).map(|r| r.to_json().dump());
+        let c = clean.lookup(job).map(|r| r.to_json().dump());
+        let f = faulted.lookup(job).map(|r| r.to_json().dump());
         if c != f {
             return Err(Divergence {
                 stage: "faults",
                 detail: format!(
-                    "{}: faulted result differs from clean (present: clean={} faulted={})",
-                    job.key,
+                    "{job}: faulted result differs from clean (present: clean={} faulted={})",
                     c.is_some(),
                     f.is_some()
                 ),

@@ -1,17 +1,19 @@
 //! Deterministic parallel execution of independent simulation jobs, with
 //! per-job failure isolation.
 //!
-//! The experiment suite is embarrassingly parallel — every `(pair, preset,
-//! scale, seed)` cell of the evaluation matrix is an independent simulation —
-//! but its *output* must not depend on scheduling. The engine therefore
-//! splits execution from aggregation:
+//! The experiment suite is embarrassingly parallel — every cell of the
+//! evaluation matrix is an independent simulation — but its *output* must
+//! not depend on scheduling. The engine therefore splits execution from
+//! aggregation:
 //!
 //! 1. the suite is replayed in *plan* mode to materialize the full job list
-//!    up front (see [`ExpContext::run`](crate::ExpContext::run)),
+//!    up front (see [`ExpContext::run`](crate::ExpContext::run)); cells that
+//!    describe the same simulation have the same [`Job::key`], so the plan
+//!    holds it once,
 //! 2. [`run_jobs`] simulates the jobs on a pool of scoped threads, and
 //! 3. each result goes into the [`Store`] — and its disk cache — the moment
 //!    it arrives, so an interrupted batch keeps every finished simulation.
-//!    Every result is filed under its own key and tables are read back by
+//!    Every result is filed under its job's key and tables are read back by
 //!    key, so the store — and every table derived from it — is
 //!    bit-identical to a serial run no matter how the pool interleaved the
 //!    work.
@@ -27,7 +29,7 @@
 //! # Failure isolation
 //!
 //! A failing simulation must not take the suite down with it. Every attempt
-//! runs under `catch_unwind`, so a panicking job is *recorded* — key, seed,
+//! runs under `catch_unwind`, so a panicking job is *recorded* — the job,
 //! panic message, and backtrace — while its peers keep claiming jobs.
 //! After the pool finishes, each failed job gets **one bounded retry**,
 //! serial and on the caller's thread; only if that also fails is the job
@@ -38,37 +40,82 @@
 
 use std::backtrace::Backtrace;
 use std::cell::{Cell, RefCell};
+use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Once};
 
 use walksteal_multitenant::{
-    GpuConfig, RunBudget, ScenarioSpec, SimError, SimResult, SimulationBuilder,
+    GpuConfig, RunBudget, ScenarioSpec, SimError, SimResult, SimulationBuilder, TenantSpec,
 };
-use walksteal_workloads::AppId;
+use walksteal_workloads::{AppId, AppProfile};
 
 use crate::fault::InjectedFault;
 use crate::key::ExpKey;
 use crate::store::Store;
 
-/// One simulation to run: the cache key plus everything needed to run it.
+/// One simulation to run: everything that decides its result, and the
+/// cache key hashed from exactly that (see [`ExpKey`]). The fields are
+/// private and fixed at construction, so the key cannot disagree with the
+/// job.
 #[derive(Debug, Clone)]
 pub struct Job {
-    /// Cache identity of the run.
-    pub key: ExpKey,
-    /// Full hardware/policy configuration.
-    pub cfg: GpuConfig,
-    /// Tenant applications, in tenant order (for a scenario job, the
-    /// arrivals in arrival order — informational; the spec drives the run).
-    pub apps: Vec<AppId>,
-    /// Base workload seed.
-    pub seed: u64,
+    cfg: GpuConfig,
+    /// The tenants in tenant order: for a scenario job, its arrivals in
+    /// arrival order.
+    tenants: Vec<TenantSpec>,
     /// When set, the job is a churn run: the builder takes this scenario
-    /// instead of a static tenant list.
-    pub scenario: Option<ScenarioSpec>,
+    /// instead of the static tenant list.
+    scenario: Option<ScenarioSpec>,
+    seed: u64,
+    key: ExpKey,
 }
 
 impl Job {
+    /// A static co-run of `apps` (in tenant order, each with its calibrated
+    /// profile) under `cfg` from `seed`.
+    #[must_use]
+    pub fn new(cfg: GpuConfig, apps: &[AppId], seed: u64) -> Self {
+        let tenants = apps.iter().map(|&app| TenantSpec::new(app)).collect();
+        Self::keyed(cfg, tenants, None, seed)
+    }
+
+    /// A churn run of `spec` under `cfg` from `seed`; the scenario's
+    /// arrivals are the tenants.
+    #[must_use]
+    pub fn scenario(cfg: GpuConfig, spec: ScenarioSpec, seed: u64) -> Self {
+        Self::keyed(cfg, spec.tenant_specs(), Some(spec), seed)
+    }
+
+    fn keyed(
+        cfg: GpuConfig,
+        tenants: Vec<TenantSpec>,
+        scenario: Option<ScenarioSpec>,
+        seed: u64,
+    ) -> Self {
+        let profiles: Vec<AppProfile> = tenants.iter().map(TenantSpec::profile).collect();
+        let key = ExpKey::of(&cfg, &profiles, scenario.as_ref(), seed);
+        Job {
+            cfg,
+            tenants,
+            scenario,
+            seed,
+            key,
+        }
+    }
+
+    /// The job's cache identity.
+    #[must_use]
+    pub fn key(&self) -> ExpKey {
+        self.key
+    }
+
+    /// The tenants' applications, in tenant order.
+    #[must_use]
+    pub fn apps(&self) -> Vec<AppId> {
+        self.tenants.iter().map(TenantSpec::app).collect()
+    }
+
     /// Runs the simulation this job describes.
     #[must_use]
     pub fn simulate(&self) -> SimResult {
@@ -94,8 +141,17 @@ impl Job {
             .seed(self.seed);
         match &self.scenario {
             Some(spec) => builder.scenario(spec.clone()),
-            None => builder.tenants(self.apps.iter().copied()),
+            None => builder.tenants(self.tenants.iter().copied()),
         }
+    }
+}
+
+/// The key beside what a reader recognizes: the tenants' apps and the
+/// seed (`4f0c19e2a7d3b865 GUPS.MM seed 42`).
+impl fmt::Display for Job {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let apps: Vec<String> = self.apps().iter().map(ToString::to_string).collect();
+        write!(f, "{} {} seed {}", self.key, apps.join("."), self.seed)
     }
 }
 
@@ -136,10 +192,8 @@ impl std::fmt::Display for JobError {
 /// The record of a job that failed at least once.
 #[derive(Debug, Clone)]
 pub struct JobFailure {
-    /// Cache identity of the failing run.
-    pub key: ExpKey,
-    /// Base workload seed of the failing run.
-    pub seed: u64,
+    /// The failing run.
+    pub job: Job,
     /// The last attempt's error.
     pub error: JobError,
     /// Attempts made (2 = initial + the bounded retry).
@@ -258,7 +312,7 @@ fn attempt(
     CAPTURING.with(|c| c.set(true));
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
         if fault == Some(InjectedFault::Panic) {
-            panic!("injected fault: forced panic for {}", job.key);
+            panic!("injected fault: forced panic for {job}");
         }
         job.simulate_budgeted(&budget)
     }));
@@ -284,7 +338,7 @@ fn attempt(
 ///
 /// Jobs are borrowed, not consumed: callers comparing serial and parallel
 /// runs (or replaying a batch) pass the same slice twice without cloning
-/// every [`GpuConfig`] and [`ExpKey`] in it.
+/// every [`GpuConfig`] in it.
 pub fn run_jobs(store: &mut Store, jobs: &[Job], workers: usize, opts: &RunOptions) -> RunReport {
     debug_assert!(
         opts.faults.is_empty() || opts.faults.len() == jobs.len(),
@@ -325,27 +379,23 @@ pub fn run_jobs(store: &mut Store, jobs: &[Job], workers: usize, opts: &RunOptio
         };
         let job = &jobs[i];
         eprintln!(
-            "  job failed ({}), retrying once: {} [seed {}]",
-            first_error.kind(),
-            job.key,
-            job.seed
+            "  job failed ({}), retrying once: {job}",
+            first_error.kind()
         );
         match attempt(job, None, &opts.budget) {
             Ok(r) => {
-                store.insert(&job.key, r);
+                store.insert(job, r);
                 report.failures.push(JobFailure {
-                    key: job.key.clone(),
-                    seed: job.seed,
+                    job: job.clone(),
                     error: first_error,
                     attempts: 2,
                     recovered: true,
                 });
             }
             Err(second_error) => {
-                eprintln!("  job dead after retry: {} ({second_error})", job.key);
+                eprintln!("  job dead after retry: {job} ({second_error})");
                 report.failures.push(JobFailure {
-                    key: job.key.clone(),
-                    seed: job.seed,
+                    job: job.clone(),
                     error: second_error,
                     attempts: 2,
                     recovered: false,
@@ -369,10 +419,10 @@ fn collect(
     let mut first_errors: Vec<Option<JobError>> = vec![None; jobs.len()];
     for (done, (i, r)) in rx.into_iter().enumerate() {
         if verbose {
-            eprintln!("  sim [{}/{}]: {}", done + 1, jobs.len(), jobs[i].key);
+            eprintln!("  sim [{}/{}]: {}", done + 1, jobs.len(), jobs[i]);
         }
         match r {
-            Ok(r) => store.insert(&jobs[i].key, r),
+            Ok(r) => store.insert(&jobs[i], r),
             Err(e) => first_errors[i] = Some(e),
         }
     }
@@ -400,13 +450,7 @@ mod tests {
                     .with_warps_per_sm(4)
                     .with_instructions_per_warp(300)
                     .with_preset(PolicyPreset::Dws);
-                Job {
-                    key: ExpKey::pair(PolicyPreset::Dws, pair, "quick", seed),
-                    cfg,
-                    apps: pair.apps().to_vec(),
-                    seed,
-                    scenario: None,
-                }
+                Job::new(cfg, &pair.apps(), seed)
             })
             .collect()
     }
@@ -424,9 +468,9 @@ mod tests {
         run_plain(&mut parallel, &jobs, 4);
         assert_eq!(serial.misses(), parallel.misses());
         for job in &jobs {
-            let a = serial.lookup(&job.key).expect("serial ran the job");
-            let b = parallel.lookup(&job.key).expect("parallel ran the job");
-            assert_eq!(a, b, "results diverge for {}", job.key);
+            let a = serial.lookup(job).expect("serial ran the job");
+            let b = parallel.lookup(job).expect("parallel ran the job");
+            assert_eq!(a, b, "results diverge for {job}");
         }
     }
 
@@ -436,7 +480,7 @@ mod tests {
         let mut store = Store::in_memory();
         let report = run_plain(&mut store, &jobs, 16);
         assert_eq!(store.misses(), 2);
-        assert!(store.lookup(&jobs[0].key).is_some());
+        assert!(store.lookup(&jobs[0]).is_some());
         assert!(report.failures.is_empty());
     }
 
@@ -465,7 +509,7 @@ mod tests {
         assert_eq!(report.failures.len(), 1);
         let f = &report.failures[0];
         assert!(f.recovered);
-        assert_eq!(f.key, jobs[2].key);
+        assert_eq!(f.job.key(), jobs[2].key());
         assert_eq!(f.attempts, 2);
         match &f.error {
             JobError::Panicked { message, backtrace } => {
@@ -478,7 +522,7 @@ mod tests {
         let mut clean = Store::in_memory();
         run_plain(&mut clean, &jobs, 1);
         for job in &jobs {
-            assert_eq!(clean.lookup(&job.key), store.lookup(&job.key));
+            assert_eq!(clean.lookup(job), store.lookup(job));
         }
     }
 
@@ -514,29 +558,29 @@ mod tests {
             timeline: vec![],
             churn: None,
         };
-        let cached = |key: &ExpKey| Store::on_disk(&dir).lookup(key);
+        let cached = |job: &Job| Store::on_disk(&dir).lookup(job);
         let mut store = Store::on_disk(&dir);
         let (tx, rx) = mpsc::channel();
         std::thread::scope(|s| {
             let collector = s.spawn(|| collect(&mut store, &jobs, rx, false));
             tx.send((1, Ok(result(11)))).unwrap();
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-            while cached(&jobs[1].key).is_none() {
+            while cached(&jobs[1]).is_none() {
                 assert!(
                     std::time::Instant::now() < deadline,
                     "job 1 never reached the disk cache"
                 );
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }
-            assert!(cached(&jobs[0].key).is_none(), "job 0 has not been sent");
+            assert!(cached(&jobs[0]).is_none(), "job 0 has not been sent");
             tx.send((0, Ok(result(10)))).unwrap();
             drop(tx);
             let errors = collector.join().unwrap();
             assert!(errors.iter().all(Option::is_none));
         });
         assert_eq!(store.misses(), 2);
-        assert_eq!(cached(&jobs[0].key), Some(result(10)));
-        assert_eq!(cached(&jobs[1].key), Some(result(11)));
+        assert_eq!(cached(&jobs[0]), Some(result(10)));
+        assert_eq!(cached(&jobs[1]), Some(result(11)));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -18,7 +18,8 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// A short identifier used in cache keys.
+    /// A short identifier: the scale's cache subdirectory and its name in
+    /// messages.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {

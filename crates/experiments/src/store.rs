@@ -1,15 +1,17 @@
 //! A disk-backed, self-healing store of simulation results.
 //!
 //! Experiments share runs (Fig. 5, 6, 7, 10, and Tables V/VI all consume the
-//! same Baseline/DWS/DWS++ simulations), and a from-scratch paper-scale
-//! `repro --jobs 2 all ablation` takes 8 min 32 s of wall time (16 min 45 s
-//! of CPU) on a 2-vCPU host — so every completed run is cached as a JSON
-//! file keyed by its configuration. Re-running the suite simulates only
+//! same Baseline/DWS/DWS++ simulations; Fig. 12's Table I column is the
+//! canonical pair runs), and a from-scratch paper-scale `repro --jobs 2 all
+//! ablation` takes minutes on a 2-vCPU host — so every completed run is
+//! cached, in memory and as a JSON file. Re-running the suite simulates only
 //! what is missing.
 //!
-//! In memory the cache is keyed on the typed [`ExpKey`]; the key is rendered
-//! to its legacy string form only to name the file on disk, so caches written
-//! by earlier versions remain readable.
+//! Each result is filed under its [`Job`]'s [`ExpKey`], the hash of the
+//! job's whole content, and its file is `<dir>/<key>.json` (16 hex digits).
+//! A changed configuration, profile, scenario or seed is therefore a new
+//! key and a miss; a changed simulator is not, so clear the directory after
+//! changing simulator code.
 //!
 //! # Fault tolerance
 //!
@@ -19,24 +21,26 @@
 //! * **Atomic writes** — results are written to a temp file in the cache
 //!   directory and renamed into place, so a crash mid-write can never leave
 //!   a half-written file under a live key.
-//! * **Integrity checksums** — new files carry an FNV-1a 64 checksum of the
-//!   result payload in their JSON envelope (`Store::persist` format:
-//!   `{"fnv64":"<hex>","result":{...}}`). Files written before the envelope
-//!   existed load checksum-free, unchanged on disk.
-//! * **Quarantine, don't panic** — an unreadable, unparseable, or
-//!   checksum-failing file is moved to `<dir>/quarantine/` and logged; the
-//!   lookup reports a miss so the key is simply resimulated. The
-//!   [`Store::quarantined`] log lets the caller itemize what self-healed.
+//! * **Integrity checksums** — every file carries an FNV-1a 64 checksum of
+//!   the result payload in its JSON envelope (`Store::persist` format:
+//!   `{"fnv64":"<hex>","result":{...}}`).
+//! * **Quarantine, don't panic** — an unreadable, unparseable,
+//!   checksum-failing or envelope-less file is moved to `<dir>/quarantine/`
+//!   and logged; the lookup reports a miss so the job is simply
+//!   resimulated. The [`Store::quarantined`] log lets the caller itemize
+//!   what self-healed.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
+use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 
 use walksteal_multitenant::SimResult;
-use walksteal_sim_core::Json;
+use walksteal_sim_core::{FnvHasher, Json};
 
 use crate::key::ExpKey;
+use crate::parallel::Job;
 
 /// Subdirectory (inside the cache dir) corrupt files are moved to.
 pub const QUARANTINE_DIR: &str = "quarantine";
@@ -63,7 +67,8 @@ pub enum StoreError {
         /// The offending file.
         path: PathBuf,
     },
-    /// Valid JSON that does not decode to a [`SimResult`] (stale schema).
+    /// A file without the checksum envelope, or an envelope whose payload
+    /// does not decode to a [`SimResult`] (stale schema).
     Decode {
         /// The offending file.
         path: PathBuf,
@@ -116,8 +121,8 @@ impl std::error::Error for StoreError {}
 /// One file the store moved out of the way instead of dying on.
 #[derive(Debug, Clone)]
 pub struct QuarantineEvent {
-    /// The key whose lookup hit the bad file.
-    pub key: ExpKey,
+    /// The job whose lookup hit the bad file.
+    pub job: Job,
     /// Why the file was rejected.
     pub error: StoreError,
     /// Where the file was moved (`None` if even the move failed and the
@@ -125,14 +130,11 @@ pub struct QuarantineEvent {
     pub moved_to: Option<PathBuf>,
 }
 
-/// FNV-1a 64 over `bytes` (also used to suffix cache file names).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+/// The envelope checksum of a result payload: its FNV-1a 64, in hex.
+fn checksum(payload: &str) -> String {
+    let mut h = FnvHasher::default();
+    h.write(payload.as_bytes());
+    format!("{:016x}", h.finish())
 }
 
 /// A cache of [`SimResult`]s, in memory and optionally on disk.
@@ -140,17 +142,16 @@ fn fnv64(bytes: &[u8]) -> u64 {
 /// # Examples
 ///
 /// ```
-/// use walksteal_experiments::{key::ExpKey, Store};
-/// use walksteal_multitenant::{PolicyPreset, SimResult};
-/// use walksteal_workloads::{AppId, WorkloadPair};
+/// use walksteal_experiments::{Job, Store};
+/// use walksteal_multitenant::{GpuConfig, SimResult};
+/// use walksteal_workloads::AppId;
 ///
-/// let pair = WorkloadPair::new(AppId::Gups, AppId::Mm);
-/// let key = ExpKey::pair(PolicyPreset::Dws, pair, "quick", 42);
+/// let job = Job::new(GpuConfig::default().for_tenants(2), &[AppId::Gups, AppId::Mm], 42);
 /// let mut store = Store::in_memory();
-/// assert!(store.lookup(&key).is_none());
+/// assert!(store.lookup(&job).is_none());
 /// let r = SimResult { tenants: vec![], cycles: 1, events: 0, timeline: vec![], churn: None };
-/// store.insert(&key, r.clone());
-/// assert_eq!(store.lookup(&key), Some(r)); // answered from the cache
+/// store.insert(&job, r.clone());
+/// assert_eq!(store.lookup(&job), Some(r)); // answered from the cache
 /// assert_eq!(store.misses(), 1);
 /// ```
 #[derive(Debug)]
@@ -184,57 +185,39 @@ impl Store {
         }
     }
 
-    /// Turns a rendered key into a safe file name.
-    fn file_name(key: &str) -> String {
-        let safe: String = key
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '.' || c == '_' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        // Append a hash so that sanitization collisions cannot alias.
-        format!("{safe}-{:016x}.json", fnv64(key.as_bytes()))
-    }
-
-    fn disk_path(&self, key: &ExpKey) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|dir| dir.join(Self::file_name(&key.to_string())))
+    fn disk_path(&self, key: ExpKey) -> Option<PathBuf> {
+        self.dir.as_ref().map(|dir| dir.join(format!("{key}.json")))
     }
 
     /// Decodes one cache file's contents: the checksummed envelope written
-    /// by [`persist`](Self::persist), or a bare legacy result.
+    /// by [`persist`](Self::persist).
     fn decode(path: &Path, text: &str) -> Result<SimResult, StoreError> {
         // Envelope layout is fixed by the writer, so the payload's exact
         // bytes can be recovered for checksumming without re-serializing
         // (float formatting round-trips are then irrelevant).
         const PREFIX: &str = "{\"fnv64\":\"";
         const SEP: &str = "\",\"result\":";
-        let payload = if let Some(rest) = text.strip_prefix(PREFIX) {
-            let (sum, rest) = rest.split_at_checked(16).ok_or_else(|| StoreError::Parse {
+        let rest = text
+            .strip_prefix(PREFIX)
+            .ok_or_else(|| StoreError::Decode {
                 path: path.to_path_buf(),
-                msg: "truncated envelope".into(),
             })?;
-            let payload = rest
-                .strip_prefix(SEP)
-                .and_then(|r| r.trim_end().strip_suffix('}'))
-                .ok_or_else(|| StoreError::Parse {
-                    path: path.to_path_buf(),
-                    msg: "malformed envelope".into(),
-                })?;
-            if format!("{:016x}", fnv64(payload.as_bytes())) != sum {
-                return Err(StoreError::Checksum {
-                    path: path.to_path_buf(),
-                });
-            }
-            payload
-        } else {
-            text
-        };
+        let (sum, rest) = rest.split_at_checked(16).ok_or_else(|| StoreError::Parse {
+            path: path.to_path_buf(),
+            msg: "truncated envelope".into(),
+        })?;
+        let payload = rest
+            .strip_prefix(SEP)
+            .and_then(|r| r.trim_end().strip_suffix('}'))
+            .ok_or_else(|| StoreError::Parse {
+                path: path.to_path_buf(),
+                msg: "malformed envelope".into(),
+            })?;
+        if checksum(payload) != sum {
+            return Err(StoreError::Checksum {
+                path: path.to_path_buf(),
+            });
+        }
         let json = Json::parse(payload).map_err(|msg| StoreError::Parse {
             path: path.to_path_buf(),
             msg,
@@ -245,9 +228,9 @@ impl Store {
     }
 
     /// Moves a rejected cache file to the quarantine directory (best
-    /// effort) and records the event. The key's next lookup misses, so it
+    /// effort) and records the event. The job's next lookup misses, so it
     /// is resimulated rather than the suite dying here.
-    fn quarantine(&mut self, key: &ExpKey, path: &Path, error: StoreError) {
+    fn quarantine(&mut self, job: &Job, path: &Path, error: StoreError) {
         let moved_to = self.dir.as_ref().and_then(|dir| {
             let qdir = dir.join(QUARANTINE_DIR);
             fs::create_dir_all(&qdir).ok()?;
@@ -261,7 +244,7 @@ impl Store {
             let _ = fs::remove_file(path);
         }
         eprintln!(
-            "store: quarantined {} ({}) -> {}",
+            "store: quarantined {} for {job} ({}) -> {}",
             path.display(),
             error.kind(),
             moved_to
@@ -269,20 +252,20 @@ impl Store {
                 .map_or_else(|| "deleted".to_string(), |p| p.display().to_string()),
         );
         self.quarantined.push(QuarantineEvent {
-            key: key.clone(),
+            job: job.clone(),
             error,
             moved_to,
         });
     }
 
-    fn load_from_disk(&mut self, key: &ExpKey) -> Option<SimResult> {
-        let path = self.disk_path(key)?;
+    fn load_from_disk(&mut self, job: &Job) -> Option<SimResult> {
+        let path = self.disk_path(job.key())?;
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
             Err(e) => {
                 self.quarantine(
-                    key,
+                    job,
                     &path,
                     StoreError::Io {
                         path: path.clone(),
@@ -294,24 +277,24 @@ impl Store {
         };
         match Self::decode(&path, &text) {
             Ok(r) => {
-                self.memory.insert(key.clone(), r.clone());
+                self.memory.insert(job.key(), r.clone());
                 Some(r)
             }
             Err(err) => {
-                self.quarantine(key, &path, err);
+                self.quarantine(job, &path, err);
                 None
             }
         }
     }
 
-    fn persist(&self, key: &ExpKey, r: &SimResult) {
+    fn persist(&self, key: ExpKey, r: &SimResult) {
         if let (Some(dir), Some(path)) = (&self.dir, self.disk_path(key)) {
             // Cache write failures are non-fatal: the result is still valid.
             let _ = fs::create_dir_all(dir);
             let payload = r.to_json().dump();
             let text = format!(
-                "{{\"fnv64\":\"{:016x}\",\"result\":{payload}}}",
-                fnv64(payload.as_bytes())
+                "{{\"fnv64\":\"{}\",\"result\":{payload}}}",
+                checksum(&payload)
             );
             // Temp-file-then-rename so a crash mid-write cannot leave a
             // truncated file under a live key.
@@ -322,14 +305,14 @@ impl Store {
         }
     }
 
-    /// Returns the cached result for `key` (in memory or on disk) without
+    /// Returns the cached result of `job` (in memory or on disk) without
     /// running anything. A corrupt on-disk entry is quarantined (see the
     /// module docs) and reads as absent.
-    pub fn lookup(&mut self, key: &ExpKey) -> Option<SimResult> {
-        if let Some(r) = self.memory.get(key) {
+    pub fn lookup(&mut self, job: &Job) -> Option<SimResult> {
+        if let Some(r) = self.memory.get(&job.key()) {
             return Some(r.clone());
         }
-        self.load_from_disk(key)
+        self.load_from_disk(job)
     }
 
     /// Records a freshly simulated result, counting it as a miss.
@@ -337,10 +320,10 @@ impl Store {
     /// This is the merge half of the experiment engine: workers simulate
     /// cache-missing jobs off-thread and the engine inserts each result as
     /// it arrives, so the disk cache keeps every finished job.
-    pub fn insert(&mut self, key: &ExpKey, r: SimResult) {
+    pub fn insert(&mut self, job: &Job, r: SimResult) {
         self.misses += 1;
-        self.persist(key, &r);
-        self.memory.insert(key.clone(), r);
+        self.persist(job.key(), &r);
+        self.memory.insert(job.key(), r);
     }
 
     /// Cache misses (i.e. simulations actually run).
@@ -359,12 +342,15 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use walksteal_multitenant::PolicyPreset;
-    use walksteal_workloads::{AppId, WorkloadPair};
+    use walksteal_multitenant::GpuConfig;
+    use walksteal_workloads::AppId;
 
-    fn key(seed: u64) -> ExpKey {
-        let pair = WorkloadPair::new(AppId::Gups, AppId::Mm);
-        ExpKey::pair(PolicyPreset::Dws, pair, "quick", seed)
+    fn job(seed: u64) -> Job {
+        Job::new(
+            GpuConfig::default().for_tenants(2),
+            &[AppId::Gups, AppId::Mm],
+            seed,
+        )
     }
 
     fn dummy(cycles: u64) -> SimResult {
@@ -387,27 +373,27 @@ mod tests {
     #[test]
     fn memoizes() {
         let mut s = Store::in_memory();
-        s.insert(&key(1), dummy(7));
-        assert_eq!(s.lookup(&key(1)), Some(dummy(7)));
-        assert_eq!(s.lookup(&key(1)), Some(dummy(7)));
+        s.insert(&job(1), dummy(7));
+        assert_eq!(s.lookup(&job(1)), Some(dummy(7)));
+        assert_eq!(s.lookup(&job(1)), Some(dummy(7)));
         assert_eq!(s.misses(), 1);
     }
 
     #[test]
     fn distinct_keys_are_distinct_entries() {
         let mut s = Store::in_memory();
-        s.insert(&key(1), dummy(1));
-        assert!(s.lookup(&key(2)).is_none());
-        s.insert(&key(2), dummy(2));
-        assert_eq!(s.lookup(&key(2)).map(|r| r.cycles), Some(2));
-        assert_eq!(s.lookup(&key(1)).map(|r| r.cycles), Some(1));
+        s.insert(&job(1), dummy(1));
+        assert!(s.lookup(&job(2)).is_none());
+        s.insert(&job(2), dummy(2));
+        assert_eq!(s.lookup(&job(2)).map(|r| r.cycles), Some(2));
+        assert_eq!(s.lookup(&job(1)).map(|r| r.cycles), Some(1));
         assert_eq!(s.misses(), 2);
     }
 
     #[test]
     fn lookup_misses_count_nothing() {
         let mut s = Store::in_memory();
-        assert!(s.lookup(&key(1)).is_none());
+        assert!(s.lookup(&job(1)).is_none());
         assert_eq!(s.misses(), 0);
     }
 
@@ -416,11 +402,11 @@ mod tests {
         let dir = scratch_dir("roundtrip");
         {
             let mut s = Store::on_disk(&dir);
-            s.insert(&key(42), dummy(42));
+            s.insert(&job(42), dummy(42));
         }
         {
             let mut s = Store::on_disk(&dir);
-            let r = s.lookup(&key(42)).expect("should load from disk");
+            let r = s.lookup(&job(42)).expect("should load from disk");
             assert_eq!(r.cycles, 42);
             assert_eq!(s.misses(), 0);
             assert!(s.quarantined().is_empty());
@@ -432,8 +418,12 @@ mod tests {
     fn new_files_carry_a_verifiable_checksum_envelope() {
         let dir = scratch_dir("envelope");
         let mut s = Store::on_disk(&dir);
-        s.insert(&key(1), dummy(5));
-        let path = s.disk_path(&key(1)).unwrap();
+        s.insert(&job(1), dummy(5));
+        let path = s.disk_path(job(1).key()).unwrap();
+        assert_eq!(
+            path.file_name().unwrap().to_string_lossy(),
+            format!("{}.json", job(1).key())
+        );
         let text = fs::read_to_string(&path).unwrap();
         assert!(
             text.starts_with("{\"fnv64\":\""),
@@ -444,36 +434,49 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_files_still_load() {
-        let dir = scratch_dir("legacy");
+    fn bare_result_file_is_quarantined_and_resimulated() {
+        // A result without the checksum envelope (the format before
+        // checksums) cannot be trusted: it is moved aside, and the job's
+        // fresh result takes its slot.
+        let dir = scratch_dir("bare");
         fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(Store::file_name(&key(3).to_string()));
+        let j = job(3);
+        let path = dir.join(format!("{}.json", j.key()));
         fs::write(&path, dummy(3).to_json().dump()).unwrap();
         let mut s = Store::on_disk(&dir);
-        let r = s.lookup(&key(3)).expect("legacy file should load");
-        assert_eq!(r.cycles, 3);
-        assert!(s.quarantined().is_empty());
+        assert!(s.lookup(&j).is_none(), "a bare file must read as absent");
+        assert_eq!(s.quarantined().len(), 1);
+        assert!(matches!(
+            s.quarantined()[0].error,
+            StoreError::Decode { .. }
+        ));
+        assert!(s.quarantined()[0].moved_to.as_ref().unwrap().exists());
+        s.insert(&j, dummy(33));
+        assert_eq!(s.misses(), 1);
+        let mut reread = Store::on_disk(&dir);
+        assert_eq!(reread.lookup(&j).map(|r| r.cycles), Some(33));
+        assert!(reread.quarantined().is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn truncated_file_is_quarantined_and_resimulated() {
         let dir = scratch_dir("truncated");
-        let k = key(7);
+        let j = job(7);
         {
             let mut s = Store::on_disk(&dir);
-            s.insert(&k, dummy(7));
+            s.insert(&j, dummy(7));
         }
-        let path = Store::on_disk(&dir).disk_path(&k).unwrap();
+        let path = Store::on_disk(&dir).disk_path(j.key()).unwrap();
         let text = fs::read_to_string(&path).unwrap();
         fs::write(&path, &text[..text.len() / 2]).unwrap();
 
         let mut s = Store::on_disk(&dir);
-        assert!(s.lookup(&k).is_none(), "corrupt entry must read as absent");
-        s.insert(&k, dummy(77));
+        assert!(s.lookup(&j).is_none(), "corrupt entry must read as absent");
+        s.insert(&j, dummy(77));
         assert_eq!(s.quarantined().len(), 1);
         let q = &s.quarantined()[0];
-        assert_eq!(q.key, k);
+        assert_eq!(q.job.key(), j.key());
         let moved = q.moved_to.as_ref().expect("file moved aside");
         assert!(moved.starts_with(dir.join(QUARANTINE_DIR)));
         assert!(moved.exists());
@@ -487,18 +490,18 @@ mod tests {
     #[test]
     fn bit_flipped_payload_fails_the_checksum() {
         let dir = scratch_dir("bitflip");
-        let k = key(9);
+        let j = job(9);
         {
             let mut s = Store::on_disk(&dir);
-            s.insert(&k, dummy(1234));
+            s.insert(&j, dummy(1234));
         }
-        let path = Store::on_disk(&dir).disk_path(&k).unwrap();
+        let path = Store::on_disk(&dir).disk_path(j.key()).unwrap();
         // Flip one digit inside the payload (keeps the JSON valid).
         let text = fs::read_to_string(&path).unwrap().replace("1234", "1235");
         fs::write(&path, text).unwrap();
 
         let mut s = Store::on_disk(&dir);
-        assert!(s.lookup(&k).is_none());
+        assert!(s.lookup(&j).is_none());
         assert!(matches!(
             s.quarantined()[0].error,
             StoreError::Checksum { .. }
@@ -510,11 +513,16 @@ mod tests {
     fn stale_schema_is_quarantined() {
         let dir = scratch_dir("stale");
         fs::create_dir_all(&dir).unwrap();
-        let k = key(11);
-        let path = dir.join(Store::file_name(&k.to_string()));
-        fs::write(&path, r#"{"not_a_result": true}"#).unwrap();
+        let j = job(11);
+        let payload = r#"{"not_a_result":true}"#;
+        let path = dir.join(format!("{}.json", j.key()));
+        let envelope = format!(
+            "{{\"fnv64\":\"{}\",\"result\":{payload}}}",
+            checksum(payload)
+        );
+        fs::write(&path, envelope).unwrap();
         let mut s = Store::on_disk(&dir);
-        assert!(s.lookup(&k).is_none());
+        assert!(s.lookup(&j).is_none());
         assert!(matches!(
             s.quarantined()[0].error,
             StoreError::Decode { .. }
@@ -527,7 +535,7 @@ mod tests {
         let dir = scratch_dir("tmpfiles");
         let mut s = Store::on_disk(&dir);
         for i in 0..4 {
-            s.insert(&key(i), dummy(i));
+            s.insert(&job(i), dummy(i));
         }
         for entry in fs::read_dir(&dir).unwrap() {
             let name = entry.unwrap().file_name();
@@ -535,12 +543,5 @@ mod tests {
             assert!(name.ends_with(".json"), "leftover temp file {name}");
         }
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn file_names_distinguish_similar_keys() {
-        // Sanitization maps both '|' and '/' to '_' — the hash suffix keeps
-        // the file names distinct.
-        assert_ne!(Store::file_name("a|b"), Store::file_name("a/b"));
     }
 }

@@ -53,9 +53,9 @@ pub struct ExpContext {
     pub policy: Option<PolicyPreset>,
     /// Every job failure recorded so far (recovered and dead).
     failures: Vec<JobFailure>,
-    /// Keys whose job died (failed both attempts): answered with a
+    /// Keys of jobs that died (failed both attempts): answered with a
     /// placeholder instead of being re-simulated, so one dead cell cannot
-    /// take down the suite or later experiments that share the key.
+    /// take down the suite or later experiments that share the job.
     dead: HashSet<ExpKey>,
     /// `Some` while a plan pass is collecting jobs (see [`ExpContext::run`]).
     plan: Option<Plan>,
@@ -198,7 +198,7 @@ impl ExpContext {
         let report = parallel::run_jobs(&mut self.store, jobs, self.jobs, &opts);
         for failure in report.failures {
             if !failure.recovered {
-                self.dead.insert(failure.key.clone());
+                self.dead.insert(failure.job.key());
             }
             self.failures.push(failure);
         }
@@ -208,71 +208,47 @@ impl ExpContext {
     /// job, from the store, by recording the job during a plan pass, or
     /// else by running it on the pool as a one-job slice.
     fn request(&mut self, job: Job) -> SimResult {
-        if self.dead.contains(&job.key) {
+        let key = job.key();
+        if self.dead.contains(&key) {
             // The job failed both attempts; a placeholder keeps the table
             // well-formed (the failure summary marks the affected rows).
-            return placeholder(&job.apps);
+            return placeholder(&job.apps());
         }
-        if let Some(r) = self.store.lookup(&job.key) {
+        if let Some(r) = self.store.lookup(&job) {
             return r;
         }
         if let Some(plan) = &mut self.plan {
-            let r = placeholder(&job.apps);
-            if plan.seen.insert(job.key.clone()) {
+            let r = placeholder(&job.apps());
+            if plan.seen.insert(key) {
                 plan.jobs.push(job);
             }
             return r;
         }
         self.execute(std::slice::from_ref(&job));
         self.store
-            .lookup(&job.key)
-            .unwrap_or_else(|| placeholder(&job.apps))
+            .lookup(&job)
+            .unwrap_or_else(|| placeholder(&job.apps()))
     }
 
-    /// A static-tenant-list job for `apps` under `cfg`, at the base seed.
-    fn job(&self, key: ExpKey, cfg: GpuConfig, apps: &[AppId]) -> Job {
-        Job {
-            key,
-            cfg,
-            apps: apps.to_vec(),
-            seed: self.seed,
-            scenario: None,
-        }
-    }
-
-    /// Runs (or recalls) a churn scenario under `cfg`. The key's apps must
-    /// list the scenario's arrivals in arrival order. `seed` is explicit
+    /// Runs (or recalls) a churn scenario under `cfg`. `seed` is explicit
     /// (rather than `self.seed`) because churn rows sweep the plan seed,
     /// and the simulation seed must match the plan that generated the
     /// timeline.
-    pub fn scenario_run(
-        &mut self,
-        key: ExpKey,
-        cfg: GpuConfig,
-        spec: &ScenarioSpec,
-        seed: u64,
-    ) -> SimResult {
-        self.request(Job {
-            apps: key.apps(),
-            key,
-            cfg,
-            seed,
-            scenario: Some(spec.clone()),
-        })
+    pub fn scenario_run(&mut self, cfg: GpuConfig, spec: &ScenarioSpec, seed: u64) -> SimResult {
+        self.request(Job::scenario(cfg, spec.clone(), seed))
+    }
+
+    /// Runs (or recalls) `apps`, in tenant order, co-running under `cfg`
+    /// at the base seed. Any two requests for the same configuration and
+    /// apps are one job, whichever experiment makes them.
+    pub fn co_run(&mut self, cfg: GpuConfig, apps: &[AppId]) -> SimResult {
+        self.request(Job::new(cfg, apps, self.seed))
     }
 
     /// Runs (or recalls) `pair` under `preset` at this scale.
     pub fn pair(&mut self, preset: PolicyPreset, pair: WorkloadPair) -> SimResult {
         let cfg = self.scale.base_config().for_tenants(2).with_preset(preset);
-        let key = ExpKey::pair(preset, pair, self.scale.label(), self.seed);
-        self.request(self.job(key, cfg, &pair.apps()))
-    }
-
-    /// Runs `pair` under a custom configuration (`label` must uniquely
-    /// describe the tweaks relative to [`ExpContext::pair`]).
-    pub fn pair_with(&mut self, label: &str, cfg: GpuConfig, pair: WorkloadPair) -> SimResult {
-        let key = ExpKey::custom(label, pair, self.scale.label(), self.seed);
-        self.request(self.job(key, cfg, &pair.apps()))
+        self.co_run(cfg, &pair.apps())
     }
 
     /// Stand-alone run of `app` on the baseline, with the SM share it would
@@ -292,8 +268,7 @@ impl ExpContext {
             .with_instructions_per_warp(budget)
             .for_tenants(1)
             .with_preset(PolicyPreset::Baseline);
-        let key = ExpKey::solo(app, sms, self.scale.label(), self.seed);
-        self.request(self.job(key, cfg, &[app]))
+        self.co_run(cfg, &[app])
     }
 
     /// The presets a policy sweep should run: `defaults` as-is, or — when
@@ -346,24 +321,12 @@ impl ExpContext {
     }
 
     /// Runs (or recalls) `mix` under `preset` at the canonical
-    /// [`tenant_config`](Self::tenant_config). Two-tenant mixes route
-    /// through [`pair`](Self::pair) (same config, same cache keys); larger
-    /// mixes share their cache entries with Fig. 13.
+    /// [`tenant_config`](Self::tenant_config). At two tenants that is the
+    /// [`pair`](Self::pair) machine, so a two-tenant mix is the pair's
+    /// job; larger mixes are Fig. 13's jobs.
     pub fn mix(&mut self, preset: PolicyPreset, mix: &WorkloadMix) -> SimResult {
-        if let Some(pair) = mix.as_pair() {
-            return self.pair(preset, pair);
-        }
         let cfg = self.tenant_config(mix.n_tenants(), preset);
-        let key = ExpKey::multi(preset, mix.apps(), self.scale.label(), self.seed);
-        self.request(self.job(key, cfg, mix.apps()))
-    }
-
-    /// Runs `mix` under a custom configuration (`label` must uniquely
-    /// describe the tweaks) — the N-tenant generalization of
-    /// [`pair_with`](Self::pair_with).
-    pub fn mix_with(&mut self, label: &str, cfg: GpuConfig, mix: &WorkloadMix) -> SimResult {
-        let key = ExpKey::custom_mix(label, mix.apps(), self.scale.label(), self.seed);
-        self.request(self.job(key, cfg, mix.apps()))
+        self.co_run(cfg, mix.apps())
     }
 }
 
@@ -805,9 +768,11 @@ pub fn fig11(ctx: &mut ExpContext) -> Table {
 }
 
 /// Fig. 12: DWS's improvement over a baseline with the *same* resources,
-/// sweeping the L2 TLB size and the number of walkers (named pairs).
+/// sweeping the L2 TLB size and the number of walkers (named pairs). The
+/// `1024e/16w` column is Table I's machine, so its cells are the pair runs
+/// of Fig. 5.
 pub fn fig12(ctx: &mut ExpContext) -> Table {
-    // (label, l2 entries, walkers)
+    // (column, l2 entries, walkers)
     let configs: [(&str, usize, usize); 6] = [
         ("512e", 512, 16),
         ("1024e/16w", 1024, 16),
@@ -822,7 +787,7 @@ pub fn fig12(ctx: &mut ExpContext) -> Table {
     let mut per_pair: Vec<Vec<f64>> = Vec::new();
     for &(_, pair) in &pairs {
         let mut row = Vec::new();
-        for &(label, entries, walkers) in &configs {
+        for &(_, entries, walkers) in &configs {
             let make = |preset: PolicyPreset, ctx: &mut ExpContext| {
                 let cfg = ctx
                     .scale
@@ -831,7 +796,7 @@ pub fn fig12(ctx: &mut ExpContext) -> Table {
                     .with_walkers(walkers)
                     .for_tenants(2)
                     .with_preset(preset);
-                ctx.pair_with(&format!("f12|{label}|{}", preset.label()), cfg, pair)
+                ctx.co_run(cfg, &pair.apps())
             };
             let base = make(PolicyPreset::Baseline, ctx).total_ipc();
             let dws = make(PolicyPreset::Dws, ctx).total_ipc();
@@ -977,7 +942,7 @@ pub fn fig14(ctx: &mut ExpContext) -> Table {
                 .with_page_size(PageSize::Large64K)
                 .for_tenants(2)
                 .with_preset(preset);
-            let r = ctx.pair_with(&format!("f14|{}", preset.label()), cfg, pair);
+            let r = ctx.co_run(cfg, &pair.apps());
             vals.push(r.total_ipc());
         }
         let base = vals[0];
@@ -1020,7 +985,7 @@ pub fn ablation_pend_check(ctx: &mut ExpContext) -> Table {
             .for_tenants(2)
             .with_preset(PolicyPreset::Dws);
         cfg.walk.strict_pend_check = false;
-        let relaxed = ctx.pair_with("ablate-relaxed", cfg, pair);
+        let relaxed = ctx.co_run(cfg, &pair.apps());
         let steal_pct = |r: &SimResult| {
             100.0 * r.tenants.iter().map(|t| t.stolen_fraction).sum::<f64>()
                 / r.tenants.len() as f64
@@ -1113,9 +1078,9 @@ pub struct CacheAudit {
     /// Planned keys absent from the cache (not an error: the cache may be
     /// partial).
     pub absent: usize,
-    /// Cached entries whose re-simulation no longer matches byte-for-byte —
+    /// Cached jobs whose re-simulation no longer matches byte-for-byte —
     /// stale results from an older simulator or a corrupted store.
-    pub stale: Vec<ExpKey>,
+    pub stale: Vec<Job>,
 }
 
 /// Audits an on-disk result cache against the current simulator:
@@ -1138,10 +1103,7 @@ pub fn verify_cache(
         ..CacheAudit::default()
     };
     let mut store = Store::on_disk(cache_dir);
-    audit.cached = jobs
-        .iter()
-        .filter(|j| store.lookup(&j.key).is_some())
-        .count();
+    audit.cached = jobs.iter().filter(|j| store.lookup(j).is_some()).count();
 
     // Fisher–Yates shuffle of the job indices, so the sample is uniform
     // and deterministic in `sample_seed`.
@@ -1157,17 +1119,17 @@ pub fn verify_cache(
             break;
         }
         let job = &jobs[idx];
-        let Some(cached) = store.lookup(&job.key) else {
+        let Some(cached) = store.lookup(job) else {
             audit.absent += 1;
             continue;
         };
         if verbose {
-            eprintln!("  verify: {}", job.key);
+            eprintln!("  verify: {job}");
         }
         let fresh = job.simulate();
         audit.checked += 1;
         if fresh.to_json().dump() != cached.to_json().dump() {
-            audit.stale.push(job.key.clone());
+            audit.stale.push(job.clone());
         }
     }
     audit
@@ -1176,6 +1138,7 @@ pub fn verify_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::{self, SweepAxis};
 
     fn quick_ctx() -> ExpContext {
         ExpContext::new(Scale::Quick, Store::in_memory())
@@ -1218,23 +1181,62 @@ mod tests {
     }
 
     #[test]
-    fn two_tenant_mix_aliases_the_pair_path() {
+    fn pair_mix_and_explicit_config_share_one_entry() {
         // The canonical 2-tenant scenario config is exactly the pair config,
-        // so mixes route through the pair cache keys.
+        // so the pair, the two-tenant mix and that config passed explicitly
+        // are one job.
         let mut ctx = quick_ctx();
-        assert_eq!(
-            ctx.tenant_config(2, PolicyPreset::Dws),
-            ctx.scale
-                .base_config()
-                .for_tenants(2)
-                .with_preset(PolicyPreset::Dws)
-        );
         let pair = WorkloadPair::new(AppId::Gups, AppId::Mm);
         let via_pair = ctx.pair(PolicyPreset::Dws, pair);
         let misses = ctx.store.misses();
+        let cfg = ctx
+            .scale
+            .base_config()
+            .for_tenants(2)
+            .with_preset(PolicyPreset::Dws);
+        assert_eq!(ctx.co_run(cfg, &pair.apps()), via_pair);
         let via_mix = ctx.mix(PolicyPreset::Dws, &WorkloadMix::from(pair));
-        assert_eq!(via_pair, via_mix);
-        assert_eq!(ctx.store.misses(), misses, "mix must reuse the pair entry");
+        assert_eq!(via_mix, via_pair);
+        assert_eq!(ctx.store.misses(), misses, "one simulation for all three");
+    }
+
+    /// The jobs a plan pass of `f` adds to `ctx`'s plan; nothing runs.
+    fn planned_by<T>(ctx: &mut ExpContext, f: impl Fn(&mut ExpContext) -> T) -> Vec<Job> {
+        let before = ctx.plan.get_or_insert_with(Plan::default).jobs.len();
+        let _ = f(ctx);
+        ctx.plan.as_ref().expect("plan mode set above").jobs[before..].to_vec()
+    }
+
+    #[test]
+    fn experiments_that_describe_one_simulation_plan_it_once() {
+        let mut ctx = quick_ctx();
+        let fig5 = planned_by(&mut ctx, fig5);
+        let fig12 = planned_by(&mut ctx, fig12);
+        let sens = planned_by(&mut ctx, |c| sweep::sens(c, SweepAxis::L2Tlb, 2));
+        assert_eq!(ctx.store.misses(), 0, "planning runs nothing");
+        let pairs = named_pairs();
+        for (_, pair) in &pairs {
+            for preset in [PolicyPreset::Baseline, PolicyPreset::Dws] {
+                let has = |jobs: &[Job], entries| {
+                    let cfg = ctx.scale.base_config().with_l2_tlb_entries(entries);
+                    let cfg = cfg.with_walkers(16).for_tenants(2).with_preset(preset);
+                    let key = Job::new(cfg, &pair.apps(), ctx.seed).key();
+                    jobs.iter().any(|j| j.key() == key)
+                };
+                // Fig. 12's `1024e/16w` column is Table I's machine, which
+                // Fig. 5 already planned; the two-tenant L2-TLB sweep's 512-
+                // and 2048-entry points are Fig. 12's cells.
+                assert!(has(&fig5, 1024) && !has(&fig12, 1024), "{pair} {preset}");
+                for entries in [512, 2048] {
+                    assert!(has(&fig12, entries), "{pair} {preset} {entries}");
+                    assert!(!has(&sens, entries), "{pair} {preset} {entries}");
+                }
+            }
+        }
+        // So Fig. 12 adds its other five columns, and the sweep only its
+        // DWS++ cells at 512 and 2048 entries.
+        assert_eq!(fig12.len(), 5 * 2 * pairs.len());
+        assert_eq!(sens.len(), 2 * pairs.len());
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! The paper's scalability argument (§VII.E–F) is that DWS/DWS++ keep their
 //! advantage as the machine's walk provisioning and the tenant count change.
 //! A [`SweepAxis`] names one knob and its evaluation points; [`sens`]
-//! expands an axis into cached experiment keys — reusing the canonical
-//! pair / Fig. 13 cache entries wherever a point coincides with the
-//! canonical configuration — and renders one gmean-over-mixes table of
-//! total IPC under Baseline / DWS / DWS++, each point normalized to its own
-//! same-resource Baseline.
+//! expands an axis into jobs — a point that coincides with another
+//! experiment's configuration (the canonical pair and Fig. 13 machines,
+//! Fig. 12's L2-TLB sizes) is that experiment's job and shares its cache
+//! entry — and renders one gmean-over-mixes table of total IPC under
+//! Baseline / DWS / DWS++, each point normalized to its own same-resource
+//! Baseline.
 
 use std::fmt;
 use std::str::FromStr;
@@ -147,10 +148,8 @@ fn point_config(
     (cfg.for_tenants(n).with_preset(preset), effective)
 }
 
-/// Runs `mix` at one sweep point, reusing the canonical cache entry when
-/// the point's configuration coincides with [`ExpContext::tenant_config`]
-/// (e.g. the 16-walker, 192-entry, and 1024-entry points at two tenants are
-/// exactly the published pair runs).
+/// Runs `mix` at one sweep point (the 16-walker, 192-entry, and
+/// 1024-entry points at two tenants are exactly the published pair runs).
 fn run_point(
     ctx: &mut ExpContext,
     axis: SweepAxis,
@@ -160,13 +159,7 @@ fn run_point(
     mix: &WorkloadMix,
 ) -> (SimResult, usize) {
     let (cfg, effective) = point_config(ctx, axis, point, n, preset);
-    let result = if cfg == ctx.tenant_config(n, preset) {
-        ctx.mix(preset, mix)
-    } else {
-        let label = format!("sens|{}{}|{}", axis.name(), effective, preset.label());
-        ctx.mix_with(&label, cfg, mix)
-    };
-    (result, effective)
+    (ctx.co_run(cfg, mix.apps()), effective)
 }
 
 fn point_label(axis: SweepAxis, effective: usize) -> String {
@@ -287,7 +280,7 @@ mod tests {
     #[test]
     fn canonical_points_reuse_published_cache_entries() {
         // At two tenants the 16-walker point IS the canonical pair config,
-        // so the sweep must not re-simulate (or re-key) those cells.
+        // so those cells are the pair jobs and never re-simulate.
         let mut ctx = quick_ctx();
         for preset in SCENARIO_PRESETS {
             let (cfg, _) = point_config(&ctx, SweepAxis::Walkers, 16, 2, preset);
@@ -302,7 +295,7 @@ mod tests {
             let (cfg, _) = point_config(&ctx, SweepAxis::Tenants, n, n, PolicyPreset::Dws);
             assert_eq!(cfg, ctx.tenant_config(n, PolicyPreset::Dws), "{n} tenants");
         }
-        // Off-canonical points get distinct custom keys instead.
+        // Off-canonical points are distinct jobs.
         let mix = walksteal_workloads::WorkloadMix::new([
             walksteal_workloads::AppId::Gups,
             walksteal_workloads::AppId::Mm,

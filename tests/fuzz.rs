@@ -348,7 +348,7 @@ fn verify_cache_tells_fresh_results_from_stale_ones() {
     let dir = scratch_dir("verify-cache");
     let fresh = jobs[0].simulate();
     let mut store = Store::on_disk(&dir);
-    store.insert(&jobs[0].key, fresh.clone());
+    store.insert(&jobs[0], fresh.clone());
     drop(store);
 
     let audit = verify_cache(Scale::Quick, &dir, usize::MAX, 1, false);
@@ -365,11 +365,12 @@ fn verify_cache_tells_fresh_results_from_stale_ones() {
         "distinct jobs produce distinct results"
     );
     let mut store = Store::on_disk(&dir);
-    store.insert(&jobs[0].key, wrong);
+    store.insert(&jobs[0], wrong);
     drop(store);
 
     let audit = verify_cache(Scale::Quick, &dir, usize::MAX, 1, false);
     assert_eq!(audit.checked, 1);
-    assert_eq!(audit.stale, vec![jobs[0].key.clone()]);
+    assert_eq!(audit.stale.len(), 1);
+    assert_eq!(audit.stale[0].key(), jobs[0].key());
     let _ = fs::remove_dir_all(&dir);
 }

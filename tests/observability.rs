@@ -4,8 +4,7 @@
 //!   `SimResult` JSON is byte-identical with observability on and off, and
 //!   a metrics handle filled by an earlier run changes nothing either;
 //! * a JSONL trace is a faithful record — replaying it reconstructs the
-//!   simulator's own per-tenant statistics bit-for-bit;
-//! * a static tenant list and its degenerate scenario run identically; and
+//!   simulator's own per-tenant statistics bit-for-bit; and
 //! * the CLI surface (`PolicyPreset`, `TraceFilter`) round-trips.
 
 use walksteal::experiments::{
@@ -139,42 +138,6 @@ fn reused_metrics_handle_never_changes_an_slo_run() {
         walks += last;
     }
     assert!(walks > 0, "no walk completed");
-}
-
-/// A static tenant list is the degenerate scenario: routing the same
-/// tenants through `ScenarioSpec::static_run` must reproduce the plain
-/// builder run cycle-for-cycle, for every policy preset (the scenario
-/// machinery adds only the churn report).
-#[test]
-fn static_scenario_matches_plain_builder() {
-    for preset in [
-        PolicyPreset::Baseline,
-        PolicyPreset::StaticPartition,
-        PolicyPreset::Dws,
-        PolicyPreset::DwsPlusPlus,
-    ] {
-        let base = || {
-            SimulationBuilder::new()
-                .n_sms(2)
-                .warps_per_sm(2)
-                .instructions_per_warp(200)
-                .preset(preset)
-                .seed(3)
-        };
-        let plain = base().tenants([AppId::Gups, AppId::Sad]).build().run();
-        let scenario = base()
-            .scenario(ScenarioSpec::static_run([AppId::Gups, AppId::Sad]))
-            .build()
-            .run();
-        assert!(plain.churn.is_none());
-        assert!(scenario.churn.is_some());
-        assert_eq!(
-            plain.tenants, scenario.tenants,
-            "{preset:?}: scenario path diverges from the static run"
-        );
-        assert_eq!(plain.cycles, scenario.cycles, "{preset:?}");
-        assert_eq!(plain.events, scenario.events, "{preset:?}");
-    }
 }
 
 /// Every preset's table label parses back to itself (`repro --policy` uses
